@@ -9,19 +9,21 @@ Measures the layers touched by the profile-guided core optimization —
 * refill     — DARTS decision wall time (the ``_refill`` hot path) for
                one fig3 cell,
 * e2e        — end-to-end wall time of every scheduler cell of the fig3
-               (n=48) and fig8 (n=70) sweeps via ``harness.run_cell``,
+               (n=48) and fig8 (n=70) sweeps, and of the fig11 (n=26)
+               DARTS 3inputs cells, via ``harness.run_cell``,
 
 and writes the numbers to ``BENCH_core.json`` (repo root) next to the
 **pre-optimization baselines** recorded below, with the speedup of each
-cell and of the whole fig3/fig8 cell sums.  The optimization is
-byte-identical by construction (golden SAN007 digests, pinned
-``scheduling_time``), so the only thing this file needs to demonstrate
-is wall clock.
+cell and of each group's cell sum.  The optimizations are byte-identical
+by construction (golden SAN007 digests, pinned ``scheduling_time``), so
+the only thing this file needs to demonstrate is wall clock.
 
 Cross-machine comparisons use ``calibration_s`` — the time of a fixed
 pure-Python loop — to normalize: ``--check OLD.json`` compares
 ``e2e/calibration`` ratios and fails on a >``--tolerance`` regression,
 which is what the CI perf-smoke job runs against the committed file.
+An ``e2e`` group recorded in a separate session stores its own
+``calibration_s``, which ``--check`` uses for that group.
 
 Usage::
 
@@ -74,6 +76,20 @@ PRE_PR_BASELINE: Dict[str, Dict[str, float]] = {
         "darts+luf+threshold": 0.657,
     },
 }
+
+
+#: fig11 cell wall times (seconds) measured at the commit *before* the
+#: DARTS refill scanned only its free-task index instead of every datum
+#: of ``dataNotInMem``; same host and session as the post numbers in
+#: BENCH_core.json, ``run_cell(spec, n, scheduler, 0)``, best of 3.
+PRE_INDEX_SCAN_BASELINE: Dict[str, Dict[str, float]] = {
+    "fig11:26": {
+        "darts+luf-3inputs": 0.612,
+        "darts+luf+opti-3inputs": 0.757,
+    },
+}
+
+BASELINES = {**PRE_PR_BASELINE, **PRE_INDEX_SCAN_BASELINE}
 
 
 def _usable_cpus() -> int:
@@ -189,6 +205,7 @@ def run_benchmarks(quick: bool) -> Dict[str, Any]:
     reps = 1 if quick else 2
     if not quick:
         cells["fig8:70"] = list(PRE_PR_BASELINE["fig8:70"])
+        cells["fig11:26"] = list(PRE_INDEX_SCAN_BASELINE["fig11:26"])
 
     report: Dict[str, Any] = {
         "benchmark": "simulator-core-hot-paths",
@@ -207,12 +224,13 @@ def run_benchmarks(quick: bool) -> Dict[str, Any]:
         "darts_decision": bench_darts_decision(),
         "e2e": {},
         "baseline_pre_pr": PRE_PR_BASELINE,
+        "baseline_pre_index_scan": PRE_INDEX_SCAN_BASELINE,
     }
 
     for key, schedulers in cells.items():
         fid, n_s = key.split(":")
         n = int(n_s)
-        base = PRE_PR_BASELINE[key]
+        base = BASELINES[key]
         out: Dict[str, Any] = {"cells": {}}
         total = 0.0
         for scheduler in schedulers:
@@ -245,11 +263,14 @@ def check_regression(
     new_cal = report.get("calibration_s") or 1.0
     failures = 0
     for key, data in report["e2e"].items():
-        old_cells = old.get("e2e", {}).get(key, {}).get("cells", {})
+        old_group = old.get("e2e", {}).get(key, {})
+        old_cells = old_group.get("cells", {})
+        # a group recorded in another session carries its own yardstick
+        group_cal = old_group.get("calibration_s") or old_cal
         for scheduler, stats in data["cells"].items():
             if scheduler not in old_cells:
                 continue
-            old_norm = old_cells[scheduler]["seconds"] / old_cal
+            old_norm = old_cells[scheduler]["seconds"] / group_cal
             new_norm = stats["seconds"] / new_cal
             ratio = new_norm / old_norm if old_norm > 0 else 1.0
             status = "ok"

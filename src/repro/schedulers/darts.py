@@ -27,10 +27,31 @@ un-reserved (returned to the common pool) and ``V`` returns to
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Set
+from itertools import compress
+from typing import (
+    Deque,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.schedulers.base import Scheduler
+
+
+def _unindex(idx: Dict[int, Set[int]], d: int, t: int) -> None:
+    """Drop ``t`` from ``idx[d]``; an emptied entry is deleted, so the
+    index's keys are exactly the data that unlock a free task."""
+    s = idx.get(d)
+    if s is not None:
+        s.discard(t)
+        if not s:
+            del idx[d]
 
 
 class Darts(Scheduler):
@@ -104,49 +125,72 @@ class Darts(Scheduler):
     #   _miss_sum[g][t]    — sum of those input ids (when the count is 1
     #                        this identifies the single missing datum);
     #   _free_by_datum[g]  — datum d → set of *unowned* tasks whose only
-    #                        missing input on g is d.
+    #                        missing input on g is d;
+    #   _two_missing[g][t] — (3inputs only) 1 iff t is unowned and
+    #                        missing exactly two inputs on g; a flag
+    #                        array rather than a set, because it holds
+    #                        up to every task per GPU and
+    #                        ``compress(range(n_tasks), ...)`` lists its
+    #                        members in id order at C speed.
     # Updated on fetch-issue/evict (held-set transitions) and on tasks
-    # entering/leaving the unowned pool, so ``_refill`` answers "how
-    # many free tasks would loading d unlock" with one len() instead of
-    # rescanning ``users_of``.  Dependency release is filtered at query
-    # time (``is_released`` flips as tasks finish, without any per-datum
-    # event).  ``check_index`` asserts equality with a fresh rescan.
+    # entering/leaving the unowned pool; an emptied entry is deleted.
+    # ``_refill`` therefore visits only the data that unlock a free task
+    # (the index's keys) instead of every datum of ``dataNotInMem``, and
+    # the 3inputs fallback only the tasks two loads away instead of
+    # every unowned one.  Dependency release is filtered at query time
+    # (``is_released`` flips as tasks finish, without any per-datum
+    # event).  ``_n_users[d]`` is ``len(users_of(d))``, the ops a scan
+    # charges per datum visited.  ``check_index`` asserts equality with
+    # a fresh rescan.
     def _build_index(self) -> None:
         view = self.view
         graph = view.graph
+        self._n_users = [len(graph.users_of(d)) for d in range(graph.n_data)]
         self._miss_count: List[List[int]] = []
         self._miss_sum: List[List[int]] = []
         self._free_by_datum: List[Dict[int, Set[int]]] = []
+        self._two_missing: List[bytearray] = []
+        unowned = self._unowned
         for g in range(view.n_gpus):
             held = view.held(g)
             mc = []
             ms = []
             idx: Dict[int, Set[int]] = {}
+            two = bytearray(graph.n_tasks) if self.three_inputs else None
             for t in range(graph.n_tasks):
                 missing = [x for x in graph.inputs_of(t) if x not in held]
-                mc.append(len(missing))
+                k = len(missing)
+                mc.append(k)
                 ms.append(sum(missing))
-                if len(missing) == 1 and t in self._unowned:
+                if k == 1 and t in unowned:
                     idx.setdefault(missing[0], set()).add(t)
+                elif k == 2 and two is not None and t in unowned:
+                    two[t] = 1
             self._miss_count.append(mc)
             self._miss_sum.append(ms)
             self._free_by_datum.append(idx)
+            if two is not None:
+                self._two_missing.append(two)
 
     def _index_remove_task(self, t: int) -> None:
         """``t`` leaves the unowned pool (planned or taken)."""
         for g in range(self.view.n_gpus):
-            if self._miss_count[g][t] == 1:
-                s = self._free_by_datum[g].get(self._miss_sum[g][t])
-                if s is not None:
-                    s.discard(t)
+            count = self._miss_count[g][t]
+            if count == 1:
+                _unindex(self._free_by_datum[g], self._miss_sum[g][t], t)
+            elif count == 2 and self.three_inputs:
+                self._two_missing[g][t] = 0
 
     def _index_add_task(self, t: int) -> None:
         """``t`` returns to the unowned pool (un-reserved on eviction)."""
         for g in range(self.view.n_gpus):
-            if self._miss_count[g][t] == 1:
+            count = self._miss_count[g][t]
+            if count == 1:
                 self._free_by_datum[g].setdefault(
                     self._miss_sum[g][t], set()
                 ).add(t)
+            elif count == 2 and self.three_inputs:
+                self._two_missing[g][t] = 1
 
     def check_index(self) -> None:
         """Assert the index equals a from-scratch recomputation (tests)."""
@@ -159,6 +203,7 @@ class Darts(Scheduler):
                 continue  # wiped memory makes the dead GPU's rows stale
             held = view.held(g)
             idx: Dict[int, Set[int]] = {}
+            two = bytearray(graph.n_tasks)
             for t in range(graph.n_tasks):
                 missing = [x for x in graph.inputs_of(t) if x not in held]
                 assert self._miss_count[g][t] == len(missing), (
@@ -169,10 +214,19 @@ class Darts(Scheduler):
                     f"gpu{g} task{t}: miss_sum "
                     f"{self._miss_sum[g][t]} != {sum(missing)}"
                 )
-                if len(missing) == 1 and t in self._unowned:
-                    idx.setdefault(missing[0], set()).add(t)
-            live = {d: s for d, s in self._free_by_datum[g].items() if s}
+                if t in self._unowned:
+                    if len(missing) == 1:
+                        idx.setdefault(missing[0], set()).add(t)
+                    elif len(missing) == 2:
+                        two[t] = 1
+            live = self._free_by_datum[g]  # emptied entries are deleted
             assert live == idx, f"gpu{g}: free_by_datum {live} != {idx}"
+            if self.three_inputs:
+                assert self._two_missing[g] == two, (
+                    f"gpu{g}: two_missing "
+                    f"{list(compress(range(graph.n_tasks), self._two_missing[g]))}"
+                    f" != {list(compress(range(graph.n_tasks), two))}"
+                )
 
     # ------------------------------------------------------------------
     # Algorithm 5
@@ -199,6 +253,14 @@ class Darts(Scheduler):
         n_max = 0
         candidates: List[int] = []
         scanned = 0
+        ru = self._remaining_users
+        if use_index:
+            # Purge stale entries once.  A datum of dataNotInMem that is
+            # held would be skipped, uncharged, by every later scan, and
+            # on_data_evicted re-adds it the moment it leaves the held
+            # set.  The only other way a held set shrinks is
+            # DeviceMemory.fail(), and a dead GPU is never refilled.
+            not_in_mem -= not_in_mem & inmem
         # Iterate a sorted copy: deterministic under a fixed seed, and the
         # set is mutated on selection.  The full scan is order-blind (it
         # takes the max, ties broken randomly), but the early-exit modes
@@ -206,9 +268,19 @@ class Darts(Scheduler):
         # unprocessed users first, so the first hit is usually a good
         # one (cheap to order, and what makes OPTI "close to optimal").
         # One sort either way; (-users, d) keeps the id tie order the old
-        # stable double sort produced.
-        if self.opti or threshold is not None:
-            ru = self._remaining_users
+        # stable double sort produced.  With the index, the full scan and
+        # OPTI visit only the data that unlock a task (``_scan_index``),
+        # and the threshold scan needs only the first ``threshold`` data
+        # of that order: nsmallest is documented equal to
+        # ``sorted(...)[:threshold]``.
+        if use_index and threshold is None:
+            n_max, candidates = self._scan_index(gpu, not_in_mem)
+            scan_order: List[int] = []
+        elif use_index:
+            scan_order = heapq.nsmallest(
+                threshold, not_in_mem, key=lambda d: (-ru[d], d)
+            )
+        elif self.opti or threshold is not None:
             scan_order = sorted(not_in_mem, key=lambda d: (-ru[d], d))
         else:
             scan_order = sorted(not_in_mem)
@@ -273,6 +345,58 @@ class Darts(Scheduler):
         self._take(gpu, task)
         return task
 
+    def _scan_index(
+        self, gpu: int, not_in_mem: Set[int]
+    ) -> Tuple[int, List[int]]:
+        """The full scan and OPTI over the free-task index.
+
+        Returns ``(n_max, candidates)`` and charges the ops the per-datum
+        scan of ``not_in_mem`` (purged of held data) would: one
+        ``len(users_of(d))`` per datum visited.  Only data keying an
+        index entry can have ``n(D) > 0``; every other datum scans to
+        ``n(D) = 0``.  The full scan visits all of
+        ``not_in_mem``.  OPTI visits it in ``(-remaining_users, d)``
+        order up to its first hit: the least such key among the data with
+        ``n(D) > 0``.  Candidate order is irrelevant, since
+        ``_select_candidate`` sorts.
+        """
+        released = self.view.is_released
+        deps = self.view.has_dependencies
+        idx = self._free_by_datum[gpu]
+        n_users = self._n_users
+        if self.opti:
+            ru = self._remaining_users
+            unlocking = [
+                d
+                for d, s in idx.items()
+                if d in not_in_mem and (not deps or any(map(released, s)))
+            ]
+            if not unlocking:
+                self.charge_ops(sum(map(n_users.__getitem__, not_in_mem)))
+                return 0, []
+            r_hit = max(map(ru.__getitem__, unlocking))
+            hit = min(d for d in unlocking if ru[d] == r_hit)
+            self.charge_ops(
+                sum(
+                    n_users[d]
+                    for d in not_in_mem
+                    if ru[d] > r_hit or (ru[d] == r_hit and d <= hit)
+                )
+            )
+            s = idx[hit]
+            return (sum(map(released, s)) if deps else len(s)), [hit]
+        self.charge_ops(sum(map(n_users.__getitem__, not_in_mem)))
+        n_free: Dict[int, int] = {}
+        for d, s in idx.items():
+            if d in not_in_mem:
+                n_d = sum(map(released, s)) if deps else len(s)
+                if n_d:
+                    n_free[d] = n_d
+        if not n_free:
+            return 0, []
+        n_max = max(n_free.values())
+        return n_max, [d for d, n_d in n_free.items() if n_d == n_max]
+
     def _count_free_tasks(self, d: int, inmem: Set[int]) -> int:
         """``n(D)``: unowned tasks whose only absent input is ``d``."""
         graph = self.view.graph
@@ -314,7 +438,12 @@ class Darts(Scheduler):
         graph = self.view.graph
         score: Dict[int, int] = {}
         task_for: Dict[int, int] = {}
-        for t in sorted(self._unowned):
+        pool: Iterable[int] = (
+            compress(range(graph.n_tasks), self._two_missing[gpu])
+            if self._use_index
+            else sorted(self._unowned)
+        )
+        for t in pool:
             if not self.view.is_released(t):
                 continue
             missing = [x for x in graph.inputs_of(t) if x not in inmem]
@@ -365,6 +494,7 @@ class Darts(Scheduler):
         mc = self._miss_count[gpu]
         ms = self._miss_sum[gpu]
         idx = self._free_by_datum[gpu]
+        two = self._two_missing[gpu] if self.three_inputs else None
         unowned = self._unowned
         for t in self.view.graph.users_of(data_id):
             old = mc[t]
@@ -372,11 +502,13 @@ class Darts(Scheduler):
             ms[t] -= data_id
             if t in unowned:
                 if old == 1:
-                    s = idx.get(data_id)
-                    if s is not None:
-                        s.discard(t)
+                    _unindex(idx, data_id, t)
                 elif old == 2:
                     idx.setdefault(ms[t], set()).add(t)
+                    if two is not None:
+                        two[t] = 0
+                elif old == 3 and two is not None:
+                    two[t] = 1
 
     def on_device_lost(self, gpu: int, requeued: Sequence[int]) -> None:
         """Return the dead GPU's reservations to the common pool.
@@ -406,6 +538,7 @@ class Darts(Scheduler):
             mc = self._miss_count[gpu]
             ms = self._miss_sum[gpu]
             idx = self._free_by_datum[gpu]
+            two = self._two_missing[gpu] if self.three_inputs else None
             unowned = self._unowned
             for t in graph.users_of(data_id):
                 old = mc[t]
@@ -415,9 +548,11 @@ class Darts(Scheduler):
                     if old == 0:
                         idx.setdefault(data_id, set()).add(t)
                     elif old == 1:
-                        s = idx.get(ms[t] - data_id)
-                        if s is not None:
-                            s.discard(t)
+                        _unindex(idx, ms[t] - data_id, t)
+                        if two is not None:
+                            two[t] = 1
+                    elif old == 2 and two is not None:
+                        two[t] = 0
         planned = self._planned[gpu]
         if not planned:
             return

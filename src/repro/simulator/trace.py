@@ -15,10 +15,11 @@ class TraceEvent:
     """One timestamped runtime event.
 
     ``kind`` is one of ``fetch_start``, ``fetch_end``, ``task_start``,
-    ``task_end``, ``evict``, ``steal``, or — under fault injection —
-    ``device_failed``, ``task_requeued``, ``replica_lost``,
-    ``xfer_fail``, ``xfer_retry``; ``ref`` is the data id, task id, or
-    (for ``steal``) the victim GPU index.
+    ``task_end``, ``evict``, ``store_start``, ``store_end`` (output
+    write-backs), or — under fault injection — ``device_failed``,
+    ``task_requeued``, ``replica_lost``, ``xfer_fail``, ``xfer_retry``;
+    ``ref`` is the data id, task id, or (for ``device_failed``) the
+    failed GPU index.
     """
 
     time: float

@@ -12,7 +12,7 @@ charge (see DESIGN.md, "Modeled cost vs implementation speed").
 
 import pytest
 
-from repro.experiments.harness import figure_spec, rep_seed
+from repro.experiments.harness import effective_threshold, figure_spec, rep_seed
 from repro.schedulers.registry import make_scheduler
 from repro.simulator.runtime import simulate
 
@@ -25,6 +25,36 @@ PINS = {
     ("darts+luf", 48): (0.10666925000000106, 0.8017516865615292),
     ("mhfp", 20): (0.0005080999999999972, 0.1279115560552323),
     ("mhfp", 48): (0.012543499999999897, 0.6972883378480299),
+}
+
+
+#: (figure, scheduler, n) -> (virtual_decision_time, makespan), rep 0,
+#: recorded before DARTS's refill scanned its free-task index instead of
+#: every datum.  fig11 (the Cholesky task set, three inputs per GEMM)
+#: exercises the 3inputs fallback and OPTI's early exit under memory
+#: pressure; fig8 at n=60 is the smallest matmul size whose working set
+#: activates the threshold (asserted below).
+VARIANT_PINS = {
+    ("fig11", "darts+luf-3inputs", 14): (
+        0.012684299999999926,
+        0.05836265994281621,
+    ),
+    ("fig11", "darts+luf-3inputs", 18): (
+        0.048226750000000415,
+        0.10895838835430616,
+    ),
+    ("fig11", "darts+luf+opti-3inputs", 14): (
+        0.0006472999999999966,
+        0.07112857479268174,
+    ),
+    ("fig11", "darts+luf+opti-3inputs", 18): (
+        0.0041361,
+        0.14750243163682294,
+    ),
+    ("fig8", "darts+luf+threshold", 60): (
+        0.031495500000000426,
+        1.052859410072463,
+    ),
 }
 
 
@@ -55,3 +85,25 @@ class TestDecisionCostPins:
             f"{scheduler} n={n}: makespan drifted "
             f"{result.makespan!r} != {makespan!r}"
         )
+
+    @pytest.mark.parametrize(
+        "figure,scheduler,n", sorted(VARIANT_PINS), ids=lambda v: str(v)
+    )
+    def test_darts_variant_pins_bit_equal(self, figure, scheduler, n):
+        spec = figure_spec(figure)
+        sched, eviction = make_scheduler(
+            scheduler, threshold=effective_threshold(spec, scheduler)
+        )
+        result = simulate(
+            spec.workload(n),
+            spec.platform(),
+            sched,
+            eviction=eviction,
+            window=spec.window,
+            seed=rep_seed(spec.seed, scheduler, n, 0),
+        )
+        if scheduler.endswith("+threshold"):
+            assert sched._threshold_active, "pin must exercise the threshold"
+        assert (result.virtual_decision_time, result.makespan) == (
+            VARIANT_PINS[(figure, scheduler, n)]
+        ), f"{figure} {scheduler} n={n}: a decision or charge_ops site changed"
