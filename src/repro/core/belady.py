@@ -3,49 +3,24 @@
 Once a task order σ is fixed, evicting the resident datum whose next use
 is furthest in the future minimises the number of loads.  The paper uses
 this both as the offline-optimal baseline for a fixed σ and as the
-fallback branch of the LUF eviction policy (Algorithm 6, line 7).
+fallback branch of the LUF eviction policy (Algorithm 6, line 7).  The
+rule itself (:func:`belady_victim`) lives in :mod:`repro.core.schedule`,
+whose Belady replay drives it; this module re-exports it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from repro.core.problem import TaskGraph
-from repro.core.schedule import Schedule, replay_schedule
+from repro.core.schedule import (
+    Schedule,
+    belady_victim,
+    next_use_distance,
+    replay_schedule,
+)
 
-
-def next_use_distance(
-    data_id: int, future: Sequence[Tuple[int, ...]]
-) -> Optional[int]:
-    """Steps until ``data_id`` is next used, or ``None`` if never again.
-
-    ``future[0]`` is the current step's input tuple.
-    """
-    for offset, inputs in enumerate(future):
-        if data_id in inputs:
-            return offset
-    return None
-
-
-def belady_victim(
-    candidates: Iterable[int], future: Sequence[Tuple[int, ...]]
-) -> int:
-    """The Belady victim among ``candidates`` given the upcoming accesses.
-
-    A candidate never used again is always preferred; ties are broken by
-    smallest data id so the choice is deterministic.
-    """
-    best_d = -1
-    best_dist = -1
-    for d in sorted(candidates):
-        dist = next_use_distance(d, future)
-        if dist is None:
-            return d
-        if dist > best_dist:
-            best_dist, best_d = dist, d
-    if best_d < 0:
-        raise ValueError("belady_victim called with no candidates")
-    return best_d
+__all__ = ["belady_loads", "belady_victim", "next_use_distance", "policy_gap"]
 
 
 def belady_loads(

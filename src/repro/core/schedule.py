@@ -18,7 +18,7 @@ against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.problem import TaskGraph
 
@@ -186,6 +186,40 @@ class FifoReplay(ReplayPolicy):
         return min(candidates, key=lambda d: (self._loaded_at.get(d, -1), d))
 
 
+def next_use_distance(
+    data_id: int, future: Sequence[Tuple[int, ...]]
+) -> Optional[int]:
+    """Steps until ``data_id`` is next used, or ``None`` if never again.
+
+    ``future[0]`` is the current step's input tuple.
+    """
+    for offset, inputs in enumerate(future):
+        if data_id in inputs:
+            return offset
+    return None
+
+
+def belady_victim(
+    candidates: Iterable[int], future: Sequence[Tuple[int, ...]]
+) -> int:
+    """The Belady victim among ``candidates`` given the upcoming accesses.
+
+    A candidate never used again is always preferred; ties are broken by
+    smallest data id so the choice is deterministic.
+    """
+    best_d = -1
+    best_dist = -1
+    for d in sorted(candidates):
+        dist = next_use_distance(d, future)
+        if dist is None:
+            return d
+        if dist > best_dist:
+            best_dist, best_d = dist, d
+    if best_d < 0:
+        raise ValueError("belady_victim called with no candidates")
+    return best_d
+
+
 class BeladyReplay(ReplayPolicy):
     """Belady/MIN: evict the candidate whose next use is furthest away.
 
@@ -201,19 +235,7 @@ class BeladyReplay(ReplayPolicy):
         step: int,
         future: Sequence[Tuple[int, ...]],
     ) -> int:
-        best_d = -1
-        best_dist = -1
-        for d in sorted(candidates):
-            dist = None
-            for offset, inputs in enumerate(future):
-                if d in inputs:
-                    dist = offset
-                    break
-            if dist is None:
-                return d  # never used again: perfect victim
-            if dist > best_dist:
-                best_dist, best_d = dist, d
-        return best_d
+        return belady_victim(candidates, future)
 
 
 _REPLAY_POLICIES = {

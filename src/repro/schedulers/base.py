@@ -82,11 +82,12 @@ class Scheduler:
         """A fetch of ``data_id`` into ``gpu``'s memory completed."""
 
     def on_fetch_issued(self, gpu: int, data_id: int) -> None:
-        """A fetch of ``data_id`` into ``gpu`` was *issued* (space
-        reserved, transfer in flight).  From this moment ``data_id``
-        counts as *held* by ``gpu`` — schedulers that mirror the
-        held-set incrementally (DARTS's free-task index, Ready's
-        missing-bytes cache) update on this hook, not on completion.
+        """``data_id`` joined ``gpu``'s held set: a fetch was *issued*
+        (space reserved, transfer in flight) or an output slot was
+        allocated.  It fires on every held-set entry, so schedulers that
+        mirror the held set incrementally (DARTS's free-task index,
+        Ready's missing-bytes cache) update on this hook, not on
+        completion.
 
         Must not call :meth:`charge_ops`: index maintenance replaces
         rescans whose modeled cost is charged at decision time by the

@@ -33,7 +33,6 @@ from itertools import compress
 from typing import (
     Deque,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -108,13 +107,7 @@ class Darts(Scheduler):
             and graph.working_set_bytes
             > self.threshold_activation_ratio * total_memory
         )
-        # Incremental free-task index (see _count_free_tasks for the
-        # definition it mirrors).  Gated off when the graph has outputs:
-        # ALLOCATED output slots enter the held-set without any event to
-        # update the index on.
-        self._use_index = not graph.has_outputs
-        if self._use_index:
-            self._build_index()
+        self._build_index()
 
     # ------------------------------------------------------------------
     # incremental free-task index
@@ -132,12 +125,15 @@ class Darts(Scheduler):
     #                        up to every task per GPU and
     #                        ``compress(range(n_tasks), ...)`` lists its
     #                        members in id order at C speed.
-    # Updated on fetch-issue/evict (held-set transitions) and on tasks
-    # entering/leaving the unowned pool; an emptied entry is deleted.
-    # ``_refill`` therefore visits only the data that unlock a free task
-    # (the index's keys) instead of every datum of ``dataNotInMem``, and
-    # the 3inputs fallback only the tasks two loads away instead of
-    # every unowned one.  Dependency release is filtered at query time
+    # Updated on every held-set transition (``on_fetch_issued``, which
+    # fires for fetches and output allocations alike, and
+    # ``on_data_evicted``) and on tasks entering/leaving the unowned
+    # pool; an emptied entry is deleted.  ``n(D)``, the number of free
+    # tasks a datum unlocks, is ``len(_free_by_datum[g][D])``, so
+    # ``_refill`` visits only the data that unlock a free task (the
+    # index's keys) instead of every datum of ``dataNotInMem``, and the
+    # 3inputs fallback only the tasks two loads away instead of every
+    # unowned one.  Dependency release is filtered at query time
     # (``is_released`` flips as tasks finish, without any per-datum
     # event).  ``_n_users[d]`` is ``len(users_of(d))``, the ops a scan
     # charges per datum visited.  ``check_index`` asserts equality with
@@ -194,8 +190,6 @@ class Darts(Scheduler):
 
     def check_index(self) -> None:
         """Assert the index equals a from-scratch recomputation (tests)."""
-        if not self._use_index:
-            return
         view = self.view
         graph = view.graph
         for g in range(view.n_gpus):
@@ -245,90 +239,55 @@ class Darts(Scheduler):
         inmem = self.view.held(gpu)
         planned = self._planned[gpu]
         threshold = self.threshold if self._threshold_active else None
-        use_index = self._use_index
         deps = self.view.has_dependencies
+        released = self.view.is_released
         not_in_mem = self._data_not_in_mem[gpu]
-        idx = self._free_by_datum[gpu] if use_index else None
+        idx = self._free_by_datum[gpu]
 
-        n_max = 0
-        candidates: List[int] = []
-        scanned = 0
-        ru = self._remaining_users
-        if use_index:
-            # Purge stale entries once.  A datum of dataNotInMem that is
-            # held would be skipped, uncharged, by every later scan, and
-            # on_data_evicted re-adds it the moment it leaves the held
-            # set.  The only other way a held set shrinks is
-            # DeviceMemory.fail(), and a dead GPU is never refilled.
-            not_in_mem -= not_in_mem & inmem
-        # Iterate a sorted copy: deterministic under a fixed seed, and the
-        # set is mutated on selection.  The full scan is order-blind (it
-        # takes the max, ties broken randomly), but the early-exit modes
-        # are order-*sensitive*: visit data with the most remaining
-        # unprocessed users first, so the first hit is usually a good
-        # one (cheap to order, and what makes OPTI "close to optimal").
-        # One sort either way; (-users, d) keeps the id tie order the old
-        # stable double sort produced.  With the index, the full scan and
-        # OPTI visit only the data that unlock a task (``_scan_index``),
-        # and the threshold scan needs only the first ``threshold`` data
-        # of that order: nsmallest is documented equal to
-        # ``sorted(...)[:threshold]``.
-        if use_index and threshold is None:
+        # Purge stale entries once.  A datum of dataNotInMem that is
+        # held would be skipped, uncharged, by every later scan, and
+        # on_data_evicted re-adds it the moment it leaves the held
+        # set.  The only other way a held set shrinks is
+        # DeviceMemory.fail(), and a dead GPU is never refilled.
+        not_in_mem -= not_in_mem & inmem
+        if threshold is None:
             n_max, candidates = self._scan_index(gpu, not_in_mem)
-            scan_order: List[int] = []
-        elif use_index:
-            scan_order = heapq.nsmallest(
-                threshold, not_in_mem, key=lambda d: (-ru[d], d)
-            )
-        elif self.opti or threshold is not None:
-            scan_order = sorted(not_in_mem, key=lambda d: (-ru[d], d))
         else:
-            scan_order = sorted(not_in_mem)
-        for d in scan_order:
-            if d in inmem:
-                not_in_mem.discard(d)  # stale entry: purge, don't revisit
-                continue
-            scanned += 1
-            self.charge_ops(len(graph.users_of(d)))
-            if use_index:
-                s = idx.get(d)
-                if not s:
-                    n_d = 0
-                elif deps:
-                    n_d = sum(1 for t in s if self.view.is_released(t))
-                else:
-                    n_d = len(s)
-            else:
-                n_d = self._count_free_tasks(d, inmem)
-            if n_d > n_max:
-                n_max = n_d
-                candidates = [d]
-                if self.opti:
-                    break
-            elif n_d == n_max and n_d > 0:
-                candidates.append(d)
-            if threshold is not None and scanned >= threshold:
-                break
+            # Scan the ``threshold`` data with the most remaining
+            # unprocessed users first (ids break ties), so an early hit
+            # is usually a good one; nsmallest is documented equal to
+            # ``sorted(...)[:threshold]``.
+            ru = self._remaining_users
+            n_max, candidates = 0, []
+            for d in heapq.nsmallest(
+                threshold, not_in_mem, key=lambda d: (-ru[d], d)
+            ):
+                self.charge_ops(len(graph.users_of(d)))
+                s = idx.get(d, ())
+                n_d = sum(map(released, s)) if deps else len(s)
+                if n_d > n_max:
+                    n_max = n_d
+                    candidates = [d]
+                    if self.opti:
+                        break
+                elif n_d == n_max and n_d > 0:
+                    candidates.append(d)
 
         if n_max > 0:
             d_opt = self._select_candidate(candidates)
             self.charge_ops(len(graph.users_of(d_opt)))
-            if use_index:
-                s = idx.get(d_opt, set())
-                # users_of order, exactly like the rescan produced
-                free = [
-                    t
-                    for t in graph.users_of(d_opt)
-                    if t in s and (not deps or self.view.is_released(t))
-                ]
-            else:
-                free = self._free_tasks(d_opt, inmem)
+            s = idx[d_opt]
+            # users_of order: the order Algorithm 5 reserves them in
+            free = [
+                t
+                for t in graph.users_of(d_opt)
+                if t in s and (not deps or released(t))
+            ]
             for t in free:
                 self._unowned.discard(t)
-                if use_index:
-                    self._index_remove_task(t)
+                self._index_remove_task(t)
                 planned.append(t)
-            self._data_not_in_mem[gpu].discard(d_opt)
+            not_in_mem.discard(d_opt)
             return planned.popleft()
 
         # No datum unlocks a task with a single load.
@@ -397,27 +356,6 @@ class Darts(Scheduler):
         n_max = max(n_free.values())
         return n_max, [d for d, n_d in n_free.items() if n_d == n_max]
 
-    def _count_free_tasks(self, d: int, inmem: Set[int]) -> int:
-        """``n(D)``: unowned tasks whose only absent input is ``d``."""
-        graph = self.view.graph
-        n = 0
-        for t in graph.users_of(d):
-            if t not in self._unowned or not self.view.is_released(t):
-                continue
-            if all(x in inmem or x == d for x in graph.inputs_of(t)):
-                n += 1
-        return n
-
-    def _free_tasks(self, d: int, inmem: Set[int]) -> List[int]:
-        graph = self.view.graph
-        return [
-            t
-            for t in graph.users_of(d)
-            if t in self._unowned
-            and self.view.is_released(t)
-            and all(x in inmem or x == d for x in graph.inputs_of(t))
-        ]
-
     def _select_candidate(self, candidates: List[int]) -> int:
         """Among equally-unlocking data, prefer the most used overall."""
         if len(candidates) == 1:
@@ -438,12 +376,7 @@ class Darts(Scheduler):
         graph = self.view.graph
         score: Dict[int, int] = {}
         task_for: Dict[int, int] = {}
-        pool: Iterable[int] = (
-            compress(range(graph.n_tasks), self._two_missing[gpu])
-            if self._use_index
-            else sorted(self._unowned)
-        )
-        for t in pool:
+        for t in compress(range(graph.n_tasks), self._two_missing[gpu]):
             if not self.view.is_released(t):
                 continue
             missing = [x for x in graph.inputs_of(t) if x not in inmem]
@@ -470,8 +403,7 @@ class Darts(Scheduler):
     def _take(self, gpu: int, task: int) -> None:
         """Direct allocation (Algorithm 5 line 13)."""
         self._unowned.discard(task)
-        if self._use_index:
-            self._index_remove_task(task)
+        self._index_remove_task(task)
         for d in self.view.graph.inputs_of(task):
             self._data_not_in_mem[gpu].discard(d)
 
@@ -489,8 +421,6 @@ class Darts(Scheduler):
     def on_fetch_issued(self, gpu: int, data_id: int) -> None:
         """``data_id`` joins ``gpu``'s held-set: one less missing input
         for each of its users there."""
-        if not self._use_index:
-            return
         mc = self._miss_count[gpu]
         ms = self._miss_sum[gpu]
         idx = self._free_by_datum[gpu]
@@ -527,32 +457,30 @@ class Darts(Scheduler):
             if t in self._executed or t in self._unowned:
                 continue
             self._unowned.add(t)
-            if self._use_index:
-                self._index_add_task(t)
+            self._index_add_task(t)
 
     def on_data_evicted(self, gpu: int, data_id: int) -> None:
         """Algorithm 6 line 8: un-reserve planned tasks needing the victim."""
         self._data_not_in_mem[gpu].add(data_id)
         graph = self.view.graph
-        if self._use_index:
-            mc = self._miss_count[gpu]
-            ms = self._miss_sum[gpu]
-            idx = self._free_by_datum[gpu]
-            two = self._two_missing[gpu] if self.three_inputs else None
-            unowned = self._unowned
-            for t in graph.users_of(data_id):
-                old = mc[t]
-                mc[t] = old + 1
-                ms[t] += data_id
-                if t in unowned:
-                    if old == 0:
-                        idx.setdefault(data_id, set()).add(t)
-                    elif old == 1:
-                        _unindex(idx, ms[t] - data_id, t)
-                        if two is not None:
-                            two[t] = 1
-                    elif old == 2 and two is not None:
-                        two[t] = 0
+        mc = self._miss_count[gpu]
+        ms = self._miss_sum[gpu]
+        idx = self._free_by_datum[gpu]
+        two = self._two_missing[gpu] if self.three_inputs else None
+        unowned = self._unowned
+        for t in graph.users_of(data_id):
+            old = mc[t]
+            mc[t] = old + 1
+            ms[t] += data_id
+            if t in unowned:
+                if old == 0:
+                    idx.setdefault(data_id, set()).add(t)
+                elif old == 1:
+                    _unindex(idx, ms[t] - data_id, t)
+                    if two is not None:
+                        two[t] = 1
+                elif old == 2 and two is not None:
+                    two[t] = 0
         planned = self._planned[gpu]
         if not planned:
             return
@@ -561,8 +489,7 @@ class Darts(Scheduler):
         for t in planned:
             if data_id in graph.inputs_of(t):
                 self._unowned.add(t)
-                if self._use_index:
-                    self._index_add_task(t)
+                self._index_add_task(t)
             else:
                 keep.append(t)
         if len(keep) != len(planned):

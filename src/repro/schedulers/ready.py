@@ -25,11 +25,10 @@ class ReadyLists:
     ``missing_bytes`` sum per (scan, task) to a per-GPU cached array
     updated on the owner scheduler's ``on_fetch_issued`` /
     ``on_data_evicted`` hooks.  The cache is only enabled when the
-    values are provably bit-equal to the fresh sums: no output data
-    (ALLOCATED slots enter the held-set without an event) and
-    integer-valued sizes (float adds/subtracts of integers far below
-    2**53 are exact in any order).  ``check_incremental`` asserts
-    equality with a recomputation (property tests).
+    values are provably bit-equal to the fresh sums: integer-valued
+    sizes (float adds/subtracts of integers far below 2**53 are exact
+    in any order).  ``check_incremental`` asserts equality with a
+    recomputation (property tests).
     """
 
     def __init__(self, n_gpus: int) -> None:
@@ -45,8 +44,6 @@ class ReadyLists:
     def enable_incremental(self, view: "RuntimeView") -> bool:
         """Build the missing-bytes cache; False when ineligible."""
         graph = view.graph
-        if graph.has_outputs:
-            return False
         sizes = [d.size for d in graph.data]
         if any(s != int(s) for s in sizes):
             return False  # exactness not guaranteed for fractional sizes

@@ -68,6 +68,16 @@ class FetchIssued(RuntimeEvent):
 
 
 @dataclass(frozen=True)
+class OutputAllocated(RuntimeEvent):
+    """Space for output ``data_id`` was reserved and pinned on ``gpu``
+    (no transfer); from now on ``gpu`` holds the datum."""
+
+    time: float
+    gpu: int
+    data_id: int
+
+
+@dataclass(frozen=True)
 class FetchCompleted(RuntimeEvent):
     """``data_id`` became resident on ``gpu`` (``size`` payload bytes)."""
 
@@ -234,6 +244,7 @@ class DegradedMode(RuntimeEvent):
 RUNTIME_EVENT_TYPES: Tuple[Type[RuntimeEvent], ...] = (
     DecisionMade,
     FetchIssued,
+    OutputAllocated,
     FetchCompleted,
     TaskStarted,
     TaskCompleted,

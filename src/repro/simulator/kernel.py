@@ -46,6 +46,7 @@ from repro.simulator.events import (
     EventStream,
     FetchCompleted,
     FetchIssued,
+    OutputAllocated,
     TaskCompleted,
     TaskRequeued,
     WriteBackCompleted,
@@ -285,7 +286,7 @@ class RuntimeKernel:
         self._stats_collector = StatsCollector(self.stats)
         self._stats_collector.subscribe_to(self.events)
         self.events.subscribe(self._on_fetch_completed, FetchCompleted)
-        self.events.subscribe(self._on_fetch_issued, FetchIssued)
+        self.events.subscribe(self._on_fetch_issued, FetchIssued, OutputAllocated)
         self.events.subscribe(self._on_evicted, Evicted)
 
     # ------------------------------------------------------------------
@@ -432,7 +433,7 @@ class RuntimeKernel:
         self._decision_time += _time.perf_counter() - t0
         self._poke(e.gpu)
 
-    def _on_fetch_issued(self, e: FetchIssued) -> None:
+    def _on_fetch_issued(self, e: Union[FetchIssued, OutputAllocated]) -> None:
         if self._started:
             self.scheduler.on_fetch_issued(e.gpu, e.data_id)
 

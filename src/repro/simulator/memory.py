@@ -17,6 +17,7 @@ write-back occurs.
 
 Instrumentation rides the :class:`repro.simulator.events.EventStream`
 passed at construction: :class:`~repro.simulator.events.FetchIssued`,
+:class:`~repro.simulator.events.OutputAllocated`,
 :class:`~repro.simulator.events.FetchCompleted`,
 :class:`~repro.simulator.events.EvictionStarted`,
 :class:`~repro.simulator.events.Evicted` and
@@ -50,6 +51,7 @@ from repro.simulator.events import (
     FetchCompleted,
     FetchIssued,
     MemoryUsageChanged,
+    OutputAllocated,
 )
 from repro.simulator.routing import TransferRouter
 
@@ -302,6 +304,10 @@ class DeviceMemory:
         self.used += self.sizes[d]
         self._sanitize_usage()
         self.pin(d)
+        if self.events.wants(OutputAllocated):
+            self.events.publish(
+                OutputAllocated(time=self.engine.now, gpu=self.gpu, data_id=d)
+            )
         return True
 
     def mark_produced(self, d: int) -> None:

@@ -13,8 +13,10 @@ charge (see DESIGN.md, "Modeled cost vs implementation speed").
 import pytest
 
 from repro.experiments.harness import effective_threshold, figure_spec, rep_seed
+from repro.platform.spec import tesla_v100_node
 from repro.schedulers.registry import make_scheduler
 from repro.simulator.runtime import simulate
+from repro.workloads import matmul2d
 
 #: (scheduler, n) -> (virtual_decision_time, makespan), fig5 spec, rep 0,
 #: recorded pre-optimization.  Exact equality — these are bit pins.
@@ -55,6 +57,19 @@ VARIANT_PINS = {
         0.031495500000000426,
         1.052859410072463,
     ),
+}
+
+
+#: scheduler -> (virtual_decision_time, makespan) on
+#: ``matmul2d(20, with_outputs=True)`` (2.06 GB working set) over
+#: ``tesla_v100_node(4, memory_bytes=250e6, nvlink=True)``, seed 0,
+#: recorded while output allocation still entered the held set without
+#: an event and DARTS and Ready fell back to rescans on such graphs.
+OUTPUT_PINS = {
+    "dmdar": (0.0003031999999999959, 0.12734126190296524),
+    "darts+luf": (0.004290349999999992, 0.11787491976771836),
+    "darts+luf+opti-3inputs": (0.0010807499999999964, 0.16917509025880925),
+    "mhfp": (0.00040764999999999785, 0.12131430755827967),
 }
 
 
@@ -107,3 +122,17 @@ class TestDecisionCostPins:
         assert (result.virtual_decision_time, result.makespan) == (
             VARIANT_PINS[(figure, scheduler, n)]
         ), f"{figure} {scheduler} n={n}: a decision or charge_ops site changed"
+
+    @pytest.mark.parametrize("scheduler", sorted(OUTPUT_PINS))
+    def test_output_graph_pins_bit_equal(self, scheduler):
+        sched, eviction = make_scheduler(scheduler)
+        result = simulate(
+            matmul2d(20, with_outputs=True),
+            tesla_v100_node(4, memory_bytes=250e6, nvlink=True),
+            sched,
+            eviction=eviction,
+            seed=0,
+        )
+        assert (result.virtual_decision_time, result.makespan) == (
+            OUTPUT_PINS[scheduler]
+        ), f"outputs {scheduler}: a decision or charge_ops site changed"

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.problem import TaskGraph
+from repro.dag.deps import DependencySet
 from repro.dag.workloads import cholesky_dag
 from repro.schedulers.darts import Darts
 from repro.schedulers.dmda import Dmdar
@@ -230,6 +232,34 @@ def cholesky_case(draw):
     return graph, deps, memory, n_gpus, window, seed
 
 
+@st.composite
+def output_chain_case(draw):
+    """Producer chains (layer i feeds layer i+1 through produced data, as
+    in ``test_extension_properties.output_case``) whose tasks also read
+    one shared input, so a task misses up to two data and every output
+    allocation moves the caches."""
+    layers = draw(st.integers(1, 4))
+    width = draw(st.integers(1, 3))
+    g = TaskGraph()
+    shared = g.add_data(1.0)
+    inputs = [g.add_data(1.0) for _ in range(width)]
+    prev_tasks = [None] * width
+    edges = []
+    for _layer in range(layers):
+        outputs = [g.add_data(1.0) for _ in range(width)]
+        for w in range(width):
+            t = g.add_task([inputs[w], shared], flops=1.0, outputs=[outputs[w]])
+            if prev_tasks[w] is not None:
+                edges.append((prev_tasks[w], t.id))
+            prev_tasks[w] = t.id
+        inputs = outputs
+    memory = float(draw(st.integers(3, g.n_data + 1)))
+    n_gpus = draw(st.integers(1, 3))
+    window = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 9999))
+    return g, DependencySet(g.n_tasks, edges), memory, n_gpus, window, seed
+
+
 class TestSchedulerCachesMatchRecompute:
     @pytest.mark.parametrize("variant", sorted(DARTS_VARIANTS))
     @given(case=graph_case())
@@ -276,5 +306,45 @@ class TestSchedulerCachesMatchRecompute:
             window=window,
             seed=seed,
         )
+        executed = sorted(t for o in result.executed_order for t in o)
+        assert executed == list(range(graph.n_tasks))
+
+
+class TestCachesOnOutputGraphs:
+    """Output allocation enters the held set through ``on_fetch_issued``,
+    so the caches stay exact on graphs that produce data."""
+
+    @pytest.mark.parametrize("variant", sorted(DARTS_VARIANTS))
+    @given(case=output_chain_case())
+    @settings(max_examples=60, deadline=None)
+    def test_darts_index_with_outputs(self, variant, case):
+        graph, deps, memory, n_gpus, window, seed = case
+        result = simulate(
+            graph,
+            toy_platform(n_gpus=n_gpus, memory=memory, bandwidth=5.0),
+            _CheckedDarts(**DARTS_VARIANTS[variant]),
+            window=window,
+            seed=seed,
+            dependencies=deps,
+        )
+        executed = sorted(t for o in result.executed_order for t in o)
+        assert executed == list(range(graph.n_tasks))
+        assert result.total_stores == graph.n_tasks
+
+    @pytest.mark.parametrize("cls", [_CheckedDmdar, _CheckedMhfp])
+    @given(case=output_chain_case())
+    @settings(max_examples=60, deadline=None)
+    def test_ready_cache_with_outputs(self, cls, case):
+        graph, deps, memory, n_gpus, window, seed = case
+        sched = cls()
+        result = simulate(
+            graph,
+            toy_platform(n_gpus=n_gpus, memory=memory, bandwidth=5.0),
+            sched,
+            window=window,
+            seed=seed,
+            dependencies=deps,
+        )
+        assert sched._lists._mb is not None, "the cache must be on"
         executed = sorted(t for o in result.executed_order for t in o)
         assert executed == list(range(graph.n_tasks))

@@ -27,7 +27,7 @@ class TestFreeTaskSelection:
         rt.engine.run()
         sched.on_fetch_issued(0, 3)
         sched.on_data_loaded(0, 3)
-        assert sched._count_free_tasks(0, rt.view.held(0)) == 1
+        assert len(sched._free_by_datum[0][0]) == 1
 
     def test_refill_prefers_most_enabling_datum(self, figure1_graph):
         rt, sched = darts_on(figure1_graph, memory=6.0)

@@ -18,6 +18,7 @@ from repro.simulator.events import (
     FetchCompleted,
     FetchIssued,
     MemoryUsageChanged,
+    OutputAllocated,
     TaskStarted,
     TransferCompleted,
 )
@@ -116,6 +117,20 @@ class TestRuntimeWiring:
         assert rt.events.wants(FetchIssued)
         assert rt.events.wants(FetchCompleted)
         assert rt.events.wants(Evicted)
+
+    def test_output_allocation_reaches_the_scheduler_only(self):
+        """Output allocation joins the held set through the scheduler's
+        ``on_fetch_issued``; trace and sanitizer stay off it, so the
+        recorded digests do not change."""
+        graph = TaskGraph()
+        out = graph.add_data(1.0)
+        graph.add_task([graph.add_data(1.0)], flops=1.0, outputs=[out])
+        rt = Runtime(
+            graph, toy_platform(memory=6.0), Eager(),
+            record_trace=True, sanitize=True,
+        )
+        assert rt.events.wants(OutputAllocated)
+        assert rt.events.subscriber_count(OutputAllocated) == 1
 
     def test_tracing_subscribes_the_fetch_path(self):
         rt = Runtime(
