@@ -13,18 +13,23 @@ from repro.eviction.base import EvictionPolicy
 
 
 class LruPolicy(EvictionPolicy):
-    """Evict the candidate whose last load-or-use is the oldest."""
+    """Evict the candidate whose last load-or-use is the oldest.
+
+    ``_order`` holds the touched data in recency order, oldest first (a
+    touch moves its key to the end), so the victim is the first key
+    that is a candidate; a candidate never touched is older than any
+    touched one, and ids break ties between those.
+    """
 
     name = "lru"
 
     def __init__(self, gpu, view=None, scheduler=None) -> None:
         super().__init__(gpu, view, scheduler)
-        self._stamp: Dict[int, int] = {}
-        self._clock = 0
+        self._order: Dict[int, None] = {}
 
     def _touch(self, d: int) -> None:
-        self._clock += 1
-        self._stamp[d] = self._clock
+        self._order.pop(d, None)
+        self._order[d] = None
 
     def on_insert(self, data_id: int) -> None:
         self._touch(data_id)
@@ -33,7 +38,10 @@ class LruPolicy(EvictionPolicy):
         self._touch(data_id)
 
     def on_evict(self, data_id: int) -> None:
-        self._stamp.pop(data_id, None)
+        self._order.pop(data_id, None)
 
     def choose_victim(self, candidates: Set[int]) -> int:
-        return min(candidates, key=lambda d: (self._stamp.get(d, -1), d))
+        untouched = candidates - self._order.keys()
+        if untouched:
+            return min(untouched)
+        return next(filter(candidates.__contains__, self._order))

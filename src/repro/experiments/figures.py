@@ -10,9 +10,10 @@ Two scales are provided:
 * ``"paper"`` — the 500 MB/GPU setup with sizes as close to the paper's
   as a pure-Python simulation can reasonably run.
 
-The paper's absolute sizes (up to 300×300 = 90 000 tasks) are out of
-reach for the quadratic-ish Python Ready scan, so "paper" tops out
-earlier; the crossover structure is unaffected (see EXPERIMENTS.md).
+The paper's absolute sizes (up to 300×300 = 90 000 tasks) are not swept
+yet: single cells run there, but a whole sweep at those sizes is still
+too slow in pure Python, so "paper" tops out earlier; the crossover
+structure is unaffected (see EXPERIMENTS.md, deviation 2).
 """
 
 from __future__ import annotations

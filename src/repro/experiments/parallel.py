@@ -128,9 +128,10 @@ def _run_indexed_cell(i: int) -> Tuple[int, Measurement]:
 
 def _teardown_pool(pool: ProcessPoolExecutor) -> None:
     """Abandon a wedged/broken pool without waiting on its workers."""
+    # shutdown() drops the pool's process dict, so take the workers first
+    procs = list((getattr(pool, "_processes", None) or {}).values())
     pool.shutdown(wait=False, cancel_futures=True)
-    procs = getattr(pool, "_processes", None) or {}
-    for proc in list(procs.values()):
+    for proc in procs:
         try:
             proc.terminate()
         except Exception:  # pragma: no cover - best effort

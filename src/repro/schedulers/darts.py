@@ -27,9 +27,9 @@ un-reserved (returned to the common pool) and ``V`` returns to
 
 from __future__ import annotations
 
-import heapq
+from bisect import bisect_left, insort
 from collections import deque
-from itertools import compress
+from itertools import compress, islice
 from typing import (
     Deque,
     Dict,
@@ -106,6 +106,14 @@ class Darts(Scheduler):
             self.threshold is not None
             and graph.working_set_bytes
             > self.threshold_activation_ratio * total_memory
+        )
+        #: the threshold's scan order: every datum's
+        #: ``(-remaining_users, id)`` key, kept sorted by ``task_done``
+        #: (only while the threshold is active)
+        self._threshold_order: Optional[List[Tuple[int, int]]] = (
+            sorted((-r, d) for d, r in enumerate(self._remaining_users))
+            if self._threshold_active
+            else None
         )
         self._build_index()
 
@@ -221,6 +229,11 @@ class Darts(Scheduler):
                     f"{list(compress(range(graph.n_tasks), self._two_missing[g]))}"
                     f" != {list(compress(range(graph.n_tasks), two))}"
                 )
+        if self._threshold_order is not None:
+            ru = self._remaining_users
+            assert self._threshold_order == sorted(
+                (-ru[d], d) for d in range(graph.n_data)
+            ), "threshold order != sorted (-remaining_users, id)"
 
     # ------------------------------------------------------------------
     # Algorithm 5
@@ -238,7 +251,7 @@ class Darts(Scheduler):
         graph = self.view.graph
         inmem = self.view.held(gpu)
         planned = self._planned[gpu]
-        threshold = self.threshold if self._threshold_active else None
+        order = self._threshold_order
         deps = self.view.has_dependencies
         released = self.view.is_released
         not_in_mem = self._data_not_in_mem[gpu]
@@ -250,17 +263,17 @@ class Darts(Scheduler):
         # set.  The only other way a held set shrinks is
         # DeviceMemory.fail(), and a dead GPU is never refilled.
         not_in_mem -= not_in_mem & inmem
-        if threshold is None:
+        if order is None:
             n_max, candidates = self._scan_index(gpu, not_in_mem)
         else:
             # Scan the ``threshold`` data with the most remaining
             # unprocessed users first (ids break ties), so an early hit
-            # is usually a good one; nsmallest is documented equal to
-            # ``sorted(...)[:threshold]``.
-            ru = self._remaining_users
+            # is usually a good one: the first ``threshold`` data of
+            # ``dataNotInMem`` in the maintained ``(-remaining_users, id)``
+            # order, i.e. ``sorted(not_in_mem, key=...)[:threshold]``.
             n_max, candidates = 0, []
-            for d in heapq.nsmallest(
-                threshold, not_in_mem, key=lambda d: (-ru[d], d)
+            for d in islice(
+                (d for _, d in order if d in not_in_mem), self.threshold
             ):
                 self.charge_ops(len(graph.users_of(d)))
                 s = idx.get(d, ())
@@ -393,9 +406,10 @@ class Darts(Scheduler):
         return task_for[d]
 
     def _random_unowned(self) -> Optional[int]:
-        pool = sorted(
-            t for t in self._unowned if self.view.is_released(t)
-        )
+        if self.view.has_dependencies:
+            pool = sorted(filter(self.view.is_released, self._unowned))
+        else:
+            pool = sorted(self._unowned)
         if not pool:
             return None
         return self._rng.choice(pool)
@@ -412,8 +426,14 @@ class Darts(Scheduler):
     # ------------------------------------------------------------------
     def task_done(self, gpu: int, task_id: int) -> None:
         self._executed.add(task_id)
+        ru = self._remaining_users
+        order = self._threshold_order
         for d in self.view.graph.inputs_of(task_id):
-            self._remaining_users[d] -= 1
+            if order is not None:
+                key = -ru[d]
+                del order[bisect_left(order, (key, d))]
+                insort(order, (key + 1, d))
+            ru[d] -= 1
 
     def on_data_loaded(self, gpu: int, data_id: int) -> None:
         self._data_not_in_mem[gpu].discard(data_id)

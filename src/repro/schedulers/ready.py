@@ -8,7 +8,8 @@ hMETIS+R and mHFP.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, List, Optional, Set
+from heapq import heapify, heappop, heappush
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulator.runtime import RuntimeView
@@ -17,18 +18,30 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class ReadyLists:
     """Per-GPU task lists with Ready-order popping.
 
-    ``last_scanned`` exposes how many queue entries the latest
-    :meth:`pop_ready` examined, so schedulers can charge decision
+    ``last_scanned`` exposes how many queue entries the linear scan of
+    :meth:`pop_ready` examines, so schedulers can charge decision
     operations to the runtime's virtual scheduler clock.
 
-    :meth:`enable_incremental` switches :meth:`pop_ready` from a fresh
-    ``missing_bytes`` sum per (scan, task) to a per-GPU cached array
-    updated on the owner scheduler's ``on_fetch_issued`` /
-    ``on_data_evicted`` hooks.  The cache is only enabled when the
-    values are provably bit-equal to the fresh sums: integer-valued
-    sizes (float adds/subtracts of integers far below 2**53 are exact
-    in any order).  ``check_incremental`` asserts equality with a
-    recomputation (property tests).
+    :meth:`enable_incremental` replaces that scan, which sums
+    ``missing_bytes`` afresh per (scan, task), with per-GPU buckets: a
+    cached missing-bytes array per GPU, updated on the owner
+    scheduler's ``on_fetch_issued`` / ``on_data_evicted`` hooks, and a
+    min-heap of ``(missing_bytes, seq, task)`` entries.  Every task
+    entering a list takes the next ``seq`` of a global counter, and
+    lists only ever append, so ``seq`` order is list order and the
+    least live entry is the scan's choice.  An entry is live while its
+    task is still in that list under that ``seq`` with that value.
+    ``on_fetch_issued`` pushes an entry for each listed user whose value
+    falls; a rise pushes nothing, since the old entry then sits below
+    the value and is re-filed at the current one when it surfaces.  So
+    every listed task keeps an entry at or below its value, and stale
+    entries are dropped as they surface.  ``last_scanned`` is charged
+    as the scan would have counted it: up to the chosen task when it
+    misses nothing, otherwise the whole list.  The cache is only
+    enabled when the values are provably bit-equal to the fresh sums:
+    integer-valued sizes (float adds/subtracts of integers far below
+    2**53 are exact in any order).  ``check_incremental`` asserts
+    equality with a recomputation (property tests).
     """
 
     def __init__(self, n_gpus: int) -> None:
@@ -38,6 +51,12 @@ class ReadyLists:
         self._mb: Optional[List[List[float]]] = None
         self._graph = None
         self._sizes: List[float] = []
+        #: per-GPU heaps of (missing_bytes, seq, task), with the cache on
+        self._heaps: List[List[Tuple[float, int, int]]] = []
+        #: per task: seq and GPU of its list entry, -1 when in no list
+        self._seq: List[int] = []
+        self._where: List[int] = []
+        self._next_seq = 0
         #: GPUs removed from the device set by :meth:`drop_gpu`
         self._dead: Set[int] = set()
 
@@ -49,26 +68,68 @@ class ReadyLists:
             return False  # exactness not guaranteed for fractional sizes
         self._graph = graph
         self._sizes = sizes
+        every = [
+            sum(sizes[d] for d in graph.inputs_of(t))
+            for t in range(graph.n_tasks)
+        ]
         self._mb = []
         for g in range(len(self.lists)):
-            held = view.held(g)
-            self._mb.append(
-                [
-                    sum(sizes[d] for d in graph.inputs_of(t) if d not in held)
-                    for t in range(graph.n_tasks)
-                ]
-            )
+            mb = every[:]
+            for d in sorted(view.held(g)):
+                for t in graph.users_of(d):
+                    mb[t] -= sizes[d]
+            self._mb.append(mb)
+        self._seq = [-1] * graph.n_tasks
+        self._where = [-1] * graph.n_tasks
+        self._heaps = [[] for _ in self.lists]
+        for g, lst in enumerate(self.lists):
+            tasks = lst[:]
+            del lst[:]
+            self._enter(g, tasks)
         return True
+
+    def _enter(self, gpu: int, tasks: Iterable[int]) -> None:
+        """Append ``tasks`` to ``gpu``'s list (with a bucket entry each
+        when the cache is on)."""
+        lst = self.lists[gpu]
+        if self._mb is None:
+            lst.extend(tasks)
+            return
+        mb = self._mb[gpu]
+        heap = self._heaps[gpu]
+        seq = self._seq
+        where = self._where
+        for t in tasks:
+            lst.append(t)
+            s = self._next_seq
+            self._next_seq = s + 1
+            seq[t] = s
+            where[t] = gpu
+            heappush(heap, (mb[t], s, t))
+
+    def _take(self, gpu: int, pos: int) -> int:
+        task = self.lists[gpu].pop(pos)
+        if self._mb is not None:
+            self._seq[task] = self._where[task] = -1
+        return task
 
     def on_fetch_issued(self, gpu: int, data_id: int) -> None:
         if self._mb is None:
             return
         mb = self._mb[gpu]
         sz = self._sizes[data_id]
+        heap = self._heaps[gpu]
+        seq = self._seq
+        where = self._where
         for t in self._graph.users_of(data_id):
-            mb[t] -= sz
+            v = mb[t] - sz
+            mb[t] = v
+            if where[t] == gpu:
+                heappush(heap, (v, seq[t], t))
 
     def on_data_evicted(self, gpu: int, data_id: int) -> None:
+        # a rise needs no entry: the task's old one now underestimates
+        # it, and _pop_bucketed re-files it when it surfaces
         if self._mb is None:
             return
         mb = self._mb[gpu]
@@ -89,6 +150,8 @@ class ReadyLists:
         self._dead.add(gpu)
         orphans = list(requeued) + self.lists[gpu]
         self.lists[gpu] = []
+        if self._mb is not None:
+            self._heaps[gpu] = []
         alive = [
             g for g in range(len(self.lists)) if g not in self._dead
         ]
@@ -96,10 +159,11 @@ class ReadyLists:
             raise RuntimeError("drop_gpu removed the last surviving GPU")
         for task in orphans:
             target = min(alive, key=lambda g: (len(self.lists[g]), g))
-            self.lists[target].append(task)
+            self._enter(target, (task,))
 
     def check_incremental(self, view: "RuntimeView") -> None:
-        """Assert the cache equals fresh ``missing_bytes`` (tests)."""
+        """Assert the cache equals fresh ``missing_bytes`` and every
+        listed task has a bucket entry at or below its value (tests)."""
         if self._mb is None:
             return
         for g in range(len(self.lists)):
@@ -110,9 +174,23 @@ class ReadyLists:
                 assert self._mb[g][t] == fresh, (
                     f"gpu{g} task{t}: cached {self._mb[g][t]} != {fresh}"
                 )
+            lst = self.lists[g]
+            seqs = [self._seq[t] for t in lst]
+            assert seqs == sorted(seqs), f"gpu{g}: seq order != list order"
+            assert all(self._where[t] == g for t in lst)
+            lowest: Dict[int, float] = {}
+            for v, s, t in self._heaps[g]:
+                if self._seq[t] == s:
+                    lowest[t] = min(v, lowest.get(t, v))
+            assert set(lowest) == set(lst), (
+                f"gpu{g}: bucketed {sorted(lowest)} != listed {sorted(lst)}"
+            )
+            assert all(v <= self._mb[g][t] for t, v in lowest.items()), (
+                f"gpu{g}: a bucket entry lies above its task's value"
+            )
 
     def assign(self, gpu: int, tasks) -> None:
-        self.lists[gpu].extend(tasks)
+        self._enter(gpu, tasks)
 
     def remaining(self, gpu: int) -> List[int]:
         return self.lists[gpu]
@@ -128,32 +206,72 @@ class ReadyLists:
         not completed yet are skipped; returns ``None`` when no task in
         the list is released (the list may still be non-empty).
         """
+        if self._mb is not None:
+            return self._pop_bucketed(gpu, self._mb[gpu], view)
         lst = self.lists[gpu]
         self.last_scanned = 0
         best_pos = -1
         best_missing = float("inf")
-        mb = self._mb[gpu] if self._mb is not None else None
         for pos, task in enumerate(lst):
             self.last_scanned += 1
             if not view.is_released(task):
                 continue
-            missing = mb[task] if mb is not None else view.missing_bytes(gpu, task)
+            missing = view.missing_bytes(gpu, task)
             if missing < best_missing:
                 best_pos, best_missing = pos, missing
                 if missing == 0:
                     break
         if best_pos < 0:
             return None
-        return lst.pop(best_pos)
+        return self._take(gpu, best_pos)
+
+    def _pop_bucketed(
+        self, gpu: int, mb: List[float], view: "RuntimeView"
+    ) -> Optional[int]:
+        """:meth:`pop_ready` from the buckets: same task, same charge."""
+        lst = self.lists[gpu]
+        heap = self._heaps[gpu]
+        seq = self._seq
+        if len(heap) > 2 * len(lst):
+            heap[:] = [(mb[t], seq[t], t) for t in lst]
+            heapify(heap)
+        deps = view.has_dependencies
+        released = view.is_released
+        blocked: List[Tuple[float, int, int]] = []
+        found: Optional[Tuple[float, int, int]] = None
+        while heap:
+            entry = heappop(heap)
+            v, s, t = entry
+            if seq[t] != s:
+                continue  # dead: the task left this list entry
+            cur = mb[t]
+            if cur != v:
+                if cur > v:  # risen since: re-file at the current value
+                    heappush(heap, (cur, s, t))
+                continue  # (a fall pushed a fresher entry, seen first)
+            if deps and not released(t):
+                blocked.append(entry)
+                continue
+            found = entry
+            break
+        for entry in blocked:
+            heappush(heap, entry)
+        if found is None:
+            self.last_scanned = len(lst)
+            return None
+        v, _s, task = found
+        pos = lst.index(task)
+        self.last_scanned = pos + 1 if v == 0 else len(lst)
+        return self._take(gpu, pos)
 
     def pop_fifo(self, gpu: int, view: Optional["RuntimeView"] = None) -> Optional[int]:
         """Head pop (DMDA without Ready): first *released* task."""
         lst = self.lists[gpu]
         if view is None or not view.has_dependencies:
-            return lst.pop(0) if lst else None
+            return self._take(gpu, 0) if lst else None
         for pos, task in enumerate(lst):
             if view.is_released(task):
-                return lst.pop(pos)
+                return self._take(gpu, pos)
         return None
 
     def steal_half(self, thief: int) -> bool:
@@ -175,5 +293,5 @@ class ReadyLists:
         take = max(1, load // 2)
         moved = self.lists[victim][-take:]
         del self.lists[victim][-take:]
-        self.lists[thief].extend(moved)
+        self._enter(thief, moved)
         return True

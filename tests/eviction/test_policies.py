@@ -1,6 +1,8 @@
 """Unit tests for the online eviction policies."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.eviction import POLICY_NAMES, make_policy
 from repro.eviction.belady_online import OnlineBeladyPolicy
@@ -62,6 +64,57 @@ class TestLru:
         p.on_evict(1)
         p.on_insert(2)
         assert p.choose_victim({1, 2}) == 1
+
+
+class _StampLru:
+    """LRU by clock stamps: a candidate's key is ``(stamp, id)``, with
+    never-touched data stamped -1."""
+
+    def __init__(self):
+        self.stamp = {}
+        self.clock = 0
+
+    def touch(self, d):
+        self.clock += 1
+        self.stamp[d] = self.clock
+
+    def evict(self, d):
+        self.stamp.pop(d, None)
+
+    def victim(self, candidates):
+        return min(candidates, key=lambda d: (self.stamp.get(d, -1), d))
+
+
+lru_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "access", "evict", "victim"]),
+        st.integers(0, 7),
+        st.frozensets(st.integers(0, 7), min_size=1),
+    ),
+    max_size=60,
+)
+
+
+class TestLruMatchesStampReference:
+    @given(lru_ops)
+    @settings(max_examples=100, deadline=None)
+    def test_same_victim_as_stamps(self, ops):
+        policy, ref = LruPolicy(gpu=0), _StampLru()
+        for op, d, candidates in ops:
+            if op == "insert":
+                policy.on_insert(d)
+                ref.touch(d)
+            elif op == "access":
+                policy.on_access(d)
+                ref.touch(d)
+            elif op == "evict":
+                policy.on_evict(d)
+                ref.evict(d)
+            else:  # choose among candidates, then evict the victim
+                victim = policy.choose_victim(set(candidates))
+                assert victim == ref.victim(candidates)
+                policy.on_evict(victim)
+                ref.evict(victim)
 
 
 class TestFifo:

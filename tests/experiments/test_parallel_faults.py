@@ -9,6 +9,7 @@ merge footer, and only cleanly completed cells ever reach the cache.
 
 import os
 import signal
+import time
 
 import pytest
 
@@ -148,16 +149,33 @@ class TestExclusion:
         assert 6 in ns
 
 
+def _pid_alive(pid):
+    """True while ``pid`` runs (a zombie awaiting its reaper counts as gone)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+    except OSError:  # no procfs: fall back to a signal probe
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+
+
 class TestTimeout:
     @needs_fork
-    def test_hung_cell_times_out_and_is_excluded(self, monkeypatch, capsys):
+    def test_hung_cell_times_out_and_is_excluded(
+        self, monkeypatch, capsys, tmp_path
+    ):
         spec = tiny_spec(schedulers=["eager"])
+        pid_file = tmp_path / "hung.pid"
 
         def hanging(spec_, n, name, rep, graph=None):
             if n == 6:
-                import time as _time
-
-                _time.sleep(60.0)
+                pid_file.write_text(str(os.getpid()))
+                time.sleep(60.0)
             return run_cell(spec_, n, name, rep, graph=graph)
 
         monkeypatch.setattr(parallel_mod, "run_cell", hanging)
@@ -172,6 +190,12 @@ class TestTimeout:
         assert "excluded" in out and "wall clock" in out
         ns = {p.n for s in sweep.series.values() for p in s.points}
         assert ns == {4}
+        # the wedged worker is killed, not left to sleep out its hang
+        pid = int(pid_file.read_text())
+        deadline = time.monotonic() + 10.0
+        while _pid_alive(pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _pid_alive(pid), f"hung worker {pid} outlived the sweep"
 
 
 class TestFaultPlanThreading:

@@ -12,6 +12,7 @@ charge (see DESIGN.md, "Modeled cost vs implementation speed").
 
 import pytest
 
+from repro.dag.workloads import cholesky_dag
 from repro.experiments.harness import effective_threshold, figure_spec, rep_seed
 from repro.platform.spec import tesla_v100_node
 from repro.schedulers.registry import make_scheduler
@@ -57,6 +58,14 @@ VARIANT_PINS = {
         0.031495500000000426,
         1.052859410072463,
     ),
+    # recorded before Ready popped from missing-bytes buckets and LRU
+    # kept its recency order: DMDAR on long lists and on the Cholesky
+    # task set, hMETIS+R with stealing, and EAGER on LRU alone
+    ("fig8", "dmdar", 60): (0.013434799999998862, 1.3145085082019168),
+    ("fig11", "dmdar", 26): (0.052493700000000025, 0.5867207237459002),
+    ("fig8", "hmetis+r", 30): (0.0022944499999999874, 0.37713784130927835),
+    ("fig11", "hmetis+r", 14): (0.0014865999999999974, 0.05923393695077893),
+    ("fig8", "eager", 60): (0.000182000000000004, 4.008341876163919),
 }
 
 
@@ -70,6 +79,16 @@ OUTPUT_PINS = {
     "darts+luf": (0.004290349999999992, 0.11787491976771836),
     "darts+luf+opti-3inputs": (0.0010807499999999964, 0.16917509025880925),
     "mhfp": (0.00040764999999999785, 0.12131430755827967),
+}
+
+
+#: scheduler -> (virtual_decision_time, makespan) on ``cholesky_dag(14)``
+#: with its dependencies over ``tesla_v100_node(4, memory_bytes=100e6)``,
+#: seed 0: Ready pops under dependencies and eviction pressure (hMETIS+R
+#: also steals).  Recorded before Ready popped from buckets.
+DAG_PINS = {
+    "dmdar": (0.0019296499999999959, 0.13339082660529686),
+    "hmetis+r": (0.0022615999999999943, 0.11031665379924291),
 }
 
 
@@ -136,3 +155,19 @@ class TestDecisionCostPins:
         assert (result.virtual_decision_time, result.makespan) == (
             OUTPUT_PINS[scheduler]
         ), f"outputs {scheduler}: a decision or charge_ops site changed"
+
+    @pytest.mark.parametrize("scheduler", sorted(DAG_PINS))
+    def test_dependency_dag_pins_bit_equal(self, scheduler):
+        graph, deps = cholesky_dag(14)
+        sched, eviction = make_scheduler(scheduler)
+        result = simulate(
+            graph,
+            tesla_v100_node(4, memory_bytes=100e6),
+            sched,
+            eviction=eviction,
+            dependencies=deps,
+            seed=0,
+        )
+        assert (result.virtual_decision_time, result.makespan) == (
+            DAG_PINS[scheduler]
+        ), f"cholesky dag {scheduler}: a decision or charge_ops site changed"

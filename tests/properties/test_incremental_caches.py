@@ -2,11 +2,13 @@
 
 The core optimization replaced from-scratch rescans with incremental
 state (memory present/fetching/evictable sets, the DARTS free-task
-index, the Ready missing-bytes cache).  These tests drive the caches
-through arbitrary operation sequences — both synthetic ones against a
-bare :class:`DeviceMemory` and real simulations on random graphs — and
-assert at every step that each cache equals a fresh recomputation,
-which is the invariant the byte-identity argument rests on.
+index and threshold order, the Ready missing-bytes buckets).  These
+tests drive the caches through arbitrary operation sequences — both
+synthetic ones against a bare :class:`DeviceMemory` and real
+simulations on random graphs — and assert at every step that each cache
+equals a fresh recomputation, and that every DARTS refill and Ready pop
+chooses and charges what the scan it replaced would have, which is the
+invariant the byte-identity argument rests on.
 """
 
 import pytest
@@ -19,6 +21,8 @@ from repro.dag.workloads import cholesky_dag
 from repro.schedulers.darts import Darts
 from repro.schedulers.dmda import Dmdar
 from repro.schedulers.hfp import Mhfp
+from repro.schedulers.partition import HmetisR
+from repro.simulator.faults import DeviceFailure, FaultPlan
 from repro.simulator.memory import MemoryFullError
 from repro.simulator.runtime import simulate
 from repro.workloads.randomgraph import random_bipartite
@@ -184,8 +188,45 @@ DARTS_VARIANTS = {
 }
 
 
-class _CheckedDmdar(Dmdar):
-    """DMDAR that re-verifies the missing-bytes cache on every event."""
+def reference_pop(lists, gpu, view):
+    """Ready's linear scan (Algorithm 2), recomputed from scratch.
+
+    Walks ``gpu``'s list in order, skipping unreleased tasks, and keeps
+    the first task with the fewest fresh ``missing_bytes``, stopping at
+    the first that misses nothing.  Returns ``(task, scanned)``: the task
+    :meth:`ReadyLists.pop_ready` must pop (``None`` when nothing is
+    released) and the ``last_scanned`` it must charge.
+    """
+    best, best_missing, scanned = None, float("inf"), 0
+    for task in lists.remaining(gpu):
+        scanned += 1
+        if not view.is_released(task):
+            continue
+        missing = view.missing_bytes(gpu, task)
+        if missing < best_missing:
+            best, best_missing = task, missing
+            if missing == 0:
+                break
+    return best, scanned
+
+
+class _ReadyOracle:
+    """Re-verifies the Ready buckets on every memory event and checks
+    every pop's task and charge against :func:`reference_pop`."""
+
+    def prepare(self, view):
+        super().prepare(view)
+        lists = self._lists
+        pop = lists.pop_ready
+
+        def checked_pop(gpu, view_):
+            expected = reference_pop(lists, gpu, view_)
+            task = pop(gpu, view_)
+            assert (task, lists.last_scanned) == expected
+            lists.check_incremental(view_)
+            return task
+
+        lists.pop_ready = checked_pop
 
     def on_fetch_issued(self, gpu, data_id):
         super().on_fetch_issued(gpu, data_id)
@@ -196,14 +237,19 @@ class _CheckedDmdar(Dmdar):
         self._lists.check_incremental(self.view)
 
 
-class _CheckedMhfp(Mhfp):
-    def on_fetch_issued(self, gpu, data_id):
-        super().on_fetch_issued(gpu, data_id)
-        self._lists.check_incremental(self.view)
+class _CheckedDmdar(_ReadyOracle, Dmdar):
+    pass
 
-    def on_data_evicted(self, gpu, data_id):
-        super().on_data_evicted(gpu, data_id)
-        self._lists.check_incremental(self.view)
+
+class _CheckedMhfp(_ReadyOracle, Mhfp):
+    pass
+
+
+class _CheckedHmetisR(_ReadyOracle, HmetisR):
+    """hMETIS+R: stealing re-enters tasks into the thief's buckets."""
+
+
+READY_CLASSES = [_CheckedDmdar, _CheckedMhfp, _CheckedHmetisR]
 
 
 @st.composite
@@ -294,18 +340,61 @@ class TestSchedulerCachesMatchRecompute:
         executed = sorted(t for o in result.executed_order for t in o)
         assert executed == list(range(graph.n_tasks))
 
-    @pytest.mark.parametrize("cls", [_CheckedDmdar, _CheckedMhfp])
+    @pytest.mark.parametrize("cls", READY_CLASSES)
     @given(case=graph_case())
     @settings(max_examples=40, deadline=None)
     def test_ready_cache_matches_missing_bytes(self, cls, case):
         graph, memory, n_gpus, window, seed = case
+        sched = cls()
         result = simulate(
             graph,
             toy_platform(n_gpus=n_gpus, memory=memory, bandwidth=5.0),
-            cls(),
+            sched,
             window=window,
             seed=seed,
         )
+        assert sched._lists._mb is not None, "the buckets must be on"
+        executed = sorted(t for o in result.executed_order for t in o)
+        assert executed == list(range(graph.n_tasks))
+
+    @pytest.mark.parametrize("cls", READY_CLASSES)
+    @given(case=cholesky_case())
+    @settings(max_examples=15, deadline=None)
+    def test_ready_pops_with_dependencies(self, cls, case):
+        graph, deps, memory, n_gpus, window, seed = case
+        sched = cls()
+        result = simulate(
+            graph,
+            toy_platform(n_gpus=n_gpus, memory=memory, bandwidth=5.0),
+            sched,
+            window=window,
+            seed=seed,
+            dependencies=deps,
+        )
+        assert sched._lists._mb is not None, "the buckets must be on"
+        executed = sorted(t for o in result.executed_order for t in o)
+        assert executed == list(range(graph.n_tasks))
+
+    @pytest.mark.parametrize("cls", READY_CLASSES)
+    @given(case=graph_case(), fail_at=st.floats(0.0, 0.9))
+    @settings(max_examples=25, deadline=None)
+    def test_ready_pops_after_drop_gpu(self, cls, case, fail_at):
+        """A device failure hands the dead GPU's tasks to the survivors'
+        buckets (``drop_gpu``)."""
+        graph, memory, n_gpus, window, seed = case
+        platform = toy_platform(n_gpus=n_gpus + 1, memory=memory, bandwidth=5.0)
+        base = simulate(graph, platform, Dmdar(), window=window, seed=seed)
+        fail_time = fail_at * base.makespan
+        plan = FaultPlan(
+            device_failures=(DeviceFailure(gpu=0, time=fail_time),)
+        )
+        sched = cls()
+        result = simulate(
+            graph, platform, sched, window=window, seed=seed, faults=plan
+        )
+        assert sched._lists._mb is not None, "the buckets must be on"
+        if fail_time < result.makespan:
+            assert sched._lists._dead == {0}, "the failure must fire"
         executed = sorted(t for o in result.executed_order for t in o)
         assert executed == list(range(graph.n_tasks))
 
@@ -331,7 +420,7 @@ class TestCachesOnOutputGraphs:
         assert executed == list(range(graph.n_tasks))
         assert result.total_stores == graph.n_tasks
 
-    @pytest.mark.parametrize("cls", [_CheckedDmdar, _CheckedMhfp])
+    @pytest.mark.parametrize("cls", READY_CLASSES)
     @given(case=output_chain_case())
     @settings(max_examples=60, deadline=None)
     def test_ready_cache_with_outputs(self, cls, case):
