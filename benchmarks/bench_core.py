@@ -6,6 +6,8 @@ Measures the layers touched by the profile-guided core optimization —
 * engine     — event schedule/step throughput and cancel-heavy runs that
                exercise the lazy heap compaction,
 * pack       — HFP package-merging time on the fig3 workload,
+* partition  — ``partition_tasks`` time (hMETIS+R's static phase) on the
+               fig8 workload,
 * refill     — DARTS decision wall time (the ``_refill`` hot path) for
                one fig3 cell,
 * e2e        — end-to-end wall time of every scheduler cell of the fig3
@@ -34,6 +36,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform as _platform
@@ -151,8 +154,12 @@ def bench_engine() -> Dict[str, Any]:
     }
 
 
-def bench_hfp_pack(n: int = 48) -> Dict[str, Any]:
-    """Time ``hfp_pack`` on the fig3 matmul workload."""
+def _digest(task_lists: List[List[int]]) -> str:
+    return hashlib.sha256(json.dumps(task_lists).encode()).hexdigest()
+
+
+def bench_hfp_pack(n: int = 48, reps: int = 1) -> Dict[str, Any]:
+    """Best-of-``reps`` time of ``hfp_pack`` on the fig3 matmul workload."""
     from repro.experiments.harness import figure_spec
     from repro.schedulers.hfp import hfp_pack
 
@@ -160,14 +167,39 @@ def bench_hfp_pack(n: int = 48) -> Dict[str, Any]:
     graph = spec.workload(n)
     platform = spec.platform()
     memory = min(g.memory_bytes for g in platform.gpus)
-    t0 = time.perf_counter()
-    packages = hfp_pack(graph, memory, platform.n_gpus)
-    pack_s = time.perf_counter() - t0
+    best = float("inf")
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        packages = hfp_pack(graph, memory, platform.n_gpus)
+        best = min(best, time.perf_counter() - t0)
     return {
         "n": n,
         "tasks": graph.n_tasks,
-        "pack_s": round(pack_s, 4),
+        "pack_s": round(best, 4),
         "packages": len(packages),
+        "packages_sha256": _digest(packages),
+    }
+
+
+def bench_partition(n: int = 50, k: int = 4, reps: int = 1) -> Dict[str, Any]:
+    """Best-of-``reps`` time of ``partition_tasks`` on the fig8 workload."""
+    import random
+
+    from repro.experiments.harness import figure_spec
+    from repro.partitioning.interface import partition_tasks
+
+    graph = figure_spec("fig8").workload(n)
+    best = float("inf")
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        parts = partition_tasks(graph, k, rng=random.Random(0)).parts
+        best = min(best, time.perf_counter() - t0)
+    return {
+        "n": n,
+        "k": k,
+        "tasks": graph.n_tasks,
+        "partition_s": round(best, 4),
+        "parts_sha256": _digest(parts),
     }
 
 
@@ -203,6 +235,7 @@ def run_benchmarks(quick: bool) -> Dict[str, Any]:
         "fig3:48": list(PRE_PR_BASELINE["fig3:48"]),
     }
     reps = 1 if quick else 2
+    static_reps = 1 if quick else 3
     if not quick:
         cells["fig8:70"] = list(PRE_PR_BASELINE["fig8:70"])
         cells["fig11:26"] = list(PRE_INDEX_SCAN_BASELINE["fig11:26"])
@@ -220,7 +253,8 @@ def run_benchmarks(quick: bool) -> Dict[str, Any]:
         "quick": quick,
         "calibration_s": round(calibrate(), 4),
         "engine": bench_engine(),
-        "hfp_pack": bench_hfp_pack(),
+        "hfp_pack": bench_hfp_pack(reps=static_reps),
+        "partition": bench_partition(reps=static_reps),
         "darts_decision": bench_darts_decision(),
         "e2e": {},
         "baseline_pre_pr": PRE_PR_BASELINE,
@@ -315,7 +349,9 @@ def main(argv: Optional[list] = None) -> int:
     )
     print(
         f"hfp_pack(n={report['hfp_pack']['n']}): "
-        f"{report['hfp_pack']['pack_s']:.3f}s | darts decision wall: "
+        f"{report['hfp_pack']['pack_s']:.3f}s | "
+        f"partition(n={report['partition']['n']}): "
+        f"{report['partition']['partition_s']:.3f}s | darts decision wall: "
         f"{report['darts_decision']['decision_wall_s']:.4f}s"
     )
     for key, data in report["e2e"].items():

@@ -10,7 +10,7 @@ from per-net side counts.
 from __future__ import annotations
 
 import heapq
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.partitioning.hypergraph import Hypergraph
 
@@ -82,12 +82,29 @@ def _fm_pass(
     locked = [False] * h.n
     version = [0] * h.n
 
-    # (-gain, v, version); build + heapify pops in the same order as
-    # sequential pushes (keys are distinct per vertex)
-    heap: List[Tuple[float, int, int]] = [
-        (-_gain(h, side, c0, c1, v), v, 0) for v in range(h.n)
-    ]
-    heapq.heapify(heap)
+    # Whether a move is admissible depends only on the vertex's side and
+    # weight (and on w0), and an unlocked vertex never changes side
+    # within a pass.  So candidates live in one heap per (side, weight)
+    # class, and each move takes the least live (-gain, v) top among the
+    # classes admissible at the current w0: exactly the entry a single
+    # heap would yield after skipping every inadmissible one, without
+    # popping and re-pushing them.  Keys are distinct per vertex, so
+    # heapify pops in the same order as sequential pushes.
+    class_of: Dict[Tuple[int, float], int] = {}
+    heaps: List[List[Tuple[float, int, int]]] = []
+    deltas: List[float] = []  # the w0 change a move out of the class makes
+    cls = [0] * h.n
+    for v in range(h.n):
+        key = (side[v], h.vwgt[v])
+        c = class_of.get(key)
+        if c is None:
+            c = class_of[key] = len(heaps)
+            heaps.append([])
+            deltas.append(-h.vwgt[v] if side[v] == 0 else h.vwgt[v])
+        cls[v] = c
+        heaps[c].append((-_gain(h, side, c0, c1, v), v, 0))
+    for heap in heaps:
+        heapq.heapify(heap)
 
     moves: List[int] = []
     cum = 0.0
@@ -102,26 +119,31 @@ def _fm_pass(
     best_key = start_key
     best_len = 0
 
-    def admissible(v: int) -> bool:
-        delta = -h.vwgt[v] if side[v] == 0 else h.vwgt[v]
-        new_w0 = w0 + delta
-        if abs(new_w0 - target0) <= tolerance:
-            return True
-        return abs(new_w0 - target0) < abs(w0 - target0)
-
-    deferred: List[Tuple[float, int, int]] = []
-    while heap or deferred:
-        if not heap:
-            # Everything left was inadmissible; no further moves possible.
-            break
-        neg_g, v, ver = heapq.heappop(heap)
-        if locked[v] or version[v] != ver:
-            continue
-        if not admissible(v):
-            deferred.append((neg_g, v, ver))
-            # If nothing admissible remains on the heap we will exit via
-            # the empty-heap check; otherwise keep popping.
-            continue
+    heappop = heapq.heappop
+    while True:
+        # a move is admissible if it keeps side 0 within tolerance or
+        # strictly reduces the imbalance; checked once per class, with
+        # the float evaluation of a per-vertex check (an interval of
+        # admissible deltas would misjudge weights tiny next to w0)
+        dev = abs(w0 - target0)
+        best: Optional[List[Tuple[float, int, int]]] = None
+        for c, heap in enumerate(heaps):
+            if not heap:
+                continue
+            gap = abs(w0 + deltas[c] - target0)
+            if not (gap <= tolerance or gap < dev):
+                continue
+            # drop stale tops (locked vertex or outdated gain)
+            while heap:
+                _, u, ver = heap[0]
+                if not locked[u] and version[u] == ver:
+                    break
+                heappop(heap)
+            if heap and (best is None or heap[0] < best[0]):
+                best = heap
+        if best is None:
+            break  # nothing admissible left
+        neg_g, v, _ = heappop(best)
         # apply the move
         g = -neg_g
         s = side[v]
@@ -174,13 +196,8 @@ def _fm_pass(
         for u in affected:
             version[u] += 1
             heapq.heappush(
-                heap, (-_gain(h, side, c0, c1, u), u, version[u])
+                heaps[cls[u]], (-_gain(h, side, c0, c1, u), u, version[u])
             )
-        # previously deferred vertices may have become admissible
-        if deferred:
-            for item in deferred:
-                heapq.heappush(heap, item)
-            deferred.clear()
 
     # roll back to the best prefix
     for v in moves[best_len:]:

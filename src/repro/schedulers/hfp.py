@@ -22,7 +22,7 @@ benefit (Figs 3, 5).  Its wall-clock cost here is measured and charged to
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.problem import TaskGraph
 from repro.schedulers.base import Scheduler
@@ -67,8 +67,8 @@ class _Packages:
             self.load.append(t.flops)
             for d in fp:
                 self.pkgs_of[d].add(pid)
-        # shared-weight adjacency, same accumulation order per package
-        # as a fresh shared_weights() scan (footprint-set iteration)
+        # shared-weight adjacency, accumulated per package in
+        # footprint-set iteration order
         self.nbr: List[Dict[int, float]] = []
         for pid in range(n):
             w: Dict[int, float] = {}
@@ -85,10 +85,6 @@ class _Packages:
 
     def active_ids(self) -> List[int]:
         return [pid for pid, t in enumerate(self.tasks) if t is not None]
-
-    def shared_weights(self, pid: int) -> Dict[int, float]:
-        """Bytes of input data shared between ``pid`` and each neighbour."""
-        return dict(self.nbr[pid])
 
     def union_bytes(self, a: int, b: int, shared: float) -> float:
         return self.bytes[a] + self.bytes[b] - shared
@@ -129,18 +125,35 @@ class _Packages:
         return a
 
 
-def _push_pairs(heap, pk: _Packages, pid: int) -> None:
-    """Push fresh heap entries for ``pid`` against all its neighbours."""
+#: (-shared bytes, task count, a, b, version of a, version of b), a < b
+_Entry = Tuple[float, int, int, int, int, int]
+
+
+def _pair_entries(
+    pk: _Packages,
+    pid: int,
+    memory_bound: Optional[float],
+    partners: Iterable[Tuple[int, float]],
+) -> Iterator[_Entry]:
+    """Heap entries pairing ``pid`` with each ``(q, w)`` of ``partners``.
+
+    A pair whose union footprint exceeds ``memory_bound`` is left out:
+    its key and byte counts stay as they are until ``a`` or ``b`` merges,
+    which makes the entry stale, so it could only ever be popped and
+    discarded.  ``w <= 0`` entries are always kept, because popping one
+    ends the round.
+    """
     version = pk.version
     ntasks = pk.ntasks
-    push = heapq.heappush
-    nt_pid = ntasks[pid]
-    v_pid = version[pid]
-    for q, w in pk.nbr[pid].items():
-        if pid < q:
-            push(heap, (-w, nt_pid + ntasks[q], pid, q, v_pid, version[q]))
-        else:
-            push(heap, (-w, nt_pid + ntasks[q], q, pid, version[q], v_pid))
+    for q, w in partners:
+        a, b = (pid, q) if pid < q else (q, pid)
+        if (
+            w > 0
+            and memory_bound is not None
+            and pk.union_bytes(a, b, w) > memory_bound
+        ):
+            continue
+        yield (-w, ntasks[a] + ntasks[b], a, b, version[a], version[b])
 
 
 def _merge_round(
@@ -152,10 +165,21 @@ def _merge_round(
 
     ``memory_bound`` restricts merges to packages whose combined input
     footprint fits (phase 1); ``None`` lifts the restriction (phase 2).
+    Over-bound pairs never enter the heap (see ``_pair_entries``), so
+    every live entry popped is a feasible merge.
     """
-    heap: List[Tuple[float, int, int, int, int, int]] = []
-    for pid in pk.active_ids():
-        _push_pairs(heap, pk, pid)
+    # one entry per pair, built in bulk
+    heap: List[_Entry] = [
+        entry
+        for pid in pk.active_ids()
+        for entry in _pair_entries(
+            pk,
+            pid,
+            memory_bound,
+            ((q, w) for q, w in pk.nbr[pid].items() if pid < q),
+        )
+    ]
+    heapq.heapify(heap)
     # Stale entries (merged-away package or outdated version) are
     # skipped on pop; when they dominate the heap, filter them out in
     # one pass and re-heapify.  Live entries keep their exact keys, so
@@ -172,10 +196,11 @@ def _merge_round(
             continue
         if pk.version[a] != va or pk.version[b] != vb:
             continue  # stale entry; fresh ones were pushed at merge time
-        if memory_bound is not None and pk.union_bytes(a, b, w) > memory_bound:
-            continue
         merged = pk.merge(a, b)
-        _push_pairs(heap, pk, merged)
+        for entry in _pair_entries(
+            pk, merged, memory_bound, pk.nbr[merged].items()
+        ):
+            heapq.heappush(heap, entry)
         if len(heap) > compact_at:
             tasks = pk.tasks
             version = pk.version

@@ -10,11 +10,17 @@ a decision changed or an op was charged from a hook that must not
 charge (see DESIGN.md, "Modeled cost vs implementation speed").
 """
 
+import hashlib
+import json
+import random
+
 import pytest
 
 from repro.dag.workloads import cholesky_dag
 from repro.experiments.harness import effective_threshold, figure_spec, rep_seed
+from repro.partitioning.interface import partition_tasks
 from repro.platform.spec import tesla_v100_node
+from repro.schedulers.hfp import balance_packages, hfp_pack
 from repro.schedulers.registry import make_scheduler
 from repro.simulator.runtime import simulate
 from repro.workloads import matmul2d
@@ -90,6 +96,39 @@ DAG_PINS = {
     "dmdar": (0.0019296499999999959, 0.13339082660529686),
     "hmetis+r": (0.0022615999999999943, 0.11031665379924291),
 }
+
+
+#: (figure, n, K) -> sha256 of the JSON of the static phases' task lists,
+#: recorded before FM kept one heap per vertex class and HFP left
+#: over-bound pairs out of its heap.  ``PARTITION_PINS``:
+#: ``partition_tasks(graph, K, rng=Random(0)).parts`` on uniform (fig8)
+#: and heterogeneous (fig11, several FM classes) vertex weights.
+#: ``PACK_PINS``: ``balance_packages(hfp_pack(graph, memory, K))`` at the
+#: figure's per-GPU memory; fig3 n=20 reaches phase 2, fig12's sparse
+#: n=70 graph reaches the fold of disconnected leftovers.
+PARTITION_PINS = {
+    ("fig8", 30, 4): (
+        "c36de00439622f504c363b9edd9ef053f6ca13d5c8cfd66336bef8dbf4aedbbd"
+    ),
+    ("fig11", 14, 4): (
+        "ef7e34b8dedef97573cacd5910de0ea1bec364fd6bea6d9343d02bb99b46412e"
+    ),
+}
+PACK_PINS = {
+    ("fig3", 20, 1): (
+        "6a3b1a4d9d449e72ae5ebdcc42991d24672a4b835cad563c4cbd99a0a4a0b4ce"
+    ),
+    ("fig5", 20, 2): (
+        "104ab372b5959cc65139a43d1c12aba607b63454106804b524c9ecd2ae91729c"
+    ),
+    ("fig12", 70, 4): (
+        "9ef509ff7b9dee65d4c1c7c93af49eb43578e7db524cca88563c6b5288941c28"
+    ),
+}
+
+
+def _digest(task_lists) -> str:
+    return hashlib.sha256(json.dumps(task_lists).encode()).hexdigest()
 
 
 class TestDecisionCostPins:
@@ -171,3 +210,27 @@ class TestDecisionCostPins:
         assert (result.virtual_decision_time, result.makespan) == (
             DAG_PINS[scheduler]
         ), f"cholesky dag {scheduler}: a decision or charge_ops site changed"
+
+
+class TestStaticPhasePins:
+    @pytest.mark.parametrize(
+        "figure,n,k", sorted(PARTITION_PINS), ids=lambda v: str(v)
+    )
+    def test_partition_parts_bit_equal(self, figure, n, k):
+        graph = figure_spec(figure).workload(n)
+        parts = partition_tasks(graph, k, rng=random.Random(0)).parts
+        assert _digest(parts) == PARTITION_PINS[(figure, n, k)], (
+            f"{figure} n={n} K={k}: the partition changed"
+        )
+
+    @pytest.mark.parametrize(
+        "figure,n,k", sorted(PACK_PINS), ids=lambda v: str(v)
+    )
+    def test_hfp_packages_bit_equal(self, figure, n, k):
+        spec = figure_spec(figure)
+        graph = spec.workload(n)
+        memory = min(g.memory_bytes for g in spec.platform().gpus)
+        packages = balance_packages(hfp_pack(graph, memory, k), graph)
+        assert _digest(packages) == PACK_PINS[(figure, n, k)], (
+            f"{figure} n={n} K={k}: the packages changed"
+        )
