@@ -14,11 +14,10 @@ Measures the layers touched by the profile-guided core optimization —
                (n=48) and fig8 (n=70) sweeps, and of the fig11 (n=26)
                DARTS 3inputs cells, via ``harness.run_cell``,
 
-and writes the numbers to ``BENCH_core.json`` (repo root) next to the
-**pre-optimization baselines** recorded below, with the speedup of each
-cell and of each group's cell sum.  The optimizations are byte-identical
-by construction (golden SAN007 digests, pinned ``scheduling_time``), so
-the only thing this file needs to demonstrate is wall clock.
+and writes the numbers to ``BENCH_core.json`` (repo root).  The
+optimizations are byte-identical by construction (golden SAN007 digests,
+pinned ``scheduling_time``), so the only thing this file needs to
+demonstrate is wall clock.
 
 Cross-machine comparisons use ``calibration_s`` — the time of a fixed
 pure-Python loop — to normalize: ``--check OLD.json`` compares
@@ -58,41 +57,20 @@ DEFAULT_OUT = os.path.abspath(
     os.path.join(os.path.dirname(__file__), os.pardir, "BENCH_core.json")
 )
 
-#: End-to-end cell wall times (seconds) measured at the commit *before*
-#: the hot-path optimization, same machine as the post numbers first
-#: committed in BENCH_core.json.  ``run_cell(spec, n, scheduler, 0)``,
-#: best of 2.
-PRE_PR_BASELINE: Dict[str, Dict[str, float]] = {
-    "fig3:48": {
-        "eager": 0.130,
-        "dmdar": 1.090,
-        "mhfp": 2.705,
-        "darts": 0.242,
-        "darts+luf": 0.285,
-    },
-    "fig8:70": {
-        "eager": 0.195,
-        "dmdar": 1.037,
-        "hmetis+r": 44.837,
-        "darts": 2.546,
-        "darts+luf": 3.408,
-        "darts+luf+threshold": 0.657,
-    },
+#: End-to-end cells per sweep group; ``--quick`` (the CI perf smoke)
+#: runs the fig3 group only.
+E2E_CELLS: Dict[str, List[str]] = {
+    "fig3:48": ["eager", "dmdar", "mhfp", "darts", "darts+luf"],
+    "fig8:70": [
+        "eager",
+        "dmdar",
+        "hmetis+r",
+        "darts",
+        "darts+luf",
+        "darts+luf+threshold",
+    ],
+    "fig11:26": ["darts+luf-3inputs", "darts+luf+opti-3inputs"],
 }
-
-
-#: fig11 cell wall times (seconds) measured at the commit *before* the
-#: DARTS refill scanned only its free-task index instead of every datum
-#: of ``dataNotInMem``; same host and session as the post numbers in
-#: BENCH_core.json, ``run_cell(spec, n, scheduler, 0)``, best of 3.
-PRE_INDEX_SCAN_BASELINE: Dict[str, Dict[str, float]] = {
-    "fig11:26": {
-        "darts+luf-3inputs": 0.612,
-        "darts+luf+opti-3inputs": 0.757,
-    },
-}
-
-BASELINES = {**PRE_PR_BASELINE, **PRE_INDEX_SCAN_BASELINE}
 
 
 def _usable_cpus() -> int:
@@ -231,14 +209,9 @@ def bench_darts_decision(n: int = 48) -> Dict[str, Any]:
 
 
 def run_benchmarks(quick: bool) -> Dict[str, Any]:
-    cells: Dict[str, List[str]] = {
-        "fig3:48": list(PRE_PR_BASELINE["fig3:48"]),
-    }
+    cells = {"fig3:48": E2E_CELLS["fig3:48"]} if quick else E2E_CELLS
     reps = 1 if quick else 2
     static_reps = 1 if quick else 3
-    if not quick:
-        cells["fig8:70"] = list(PRE_PR_BASELINE["fig8:70"])
-        cells["fig11:26"] = list(PRE_INDEX_SCAN_BASELINE["fig11:26"])
 
     report: Dict[str, Any] = {
         "benchmark": "simulator-core-hot-paths",
@@ -257,28 +230,19 @@ def run_benchmarks(quick: bool) -> Dict[str, Any]:
         "partition": bench_partition(reps=static_reps),
         "darts_decision": bench_darts_decision(),
         "e2e": {},
-        "baseline_pre_pr": PRE_PR_BASELINE,
-        "baseline_pre_index_scan": PRE_INDEX_SCAN_BASELINE,
     }
 
     for key, schedulers in cells.items():
         fid, n_s = key.split(":")
         n = int(n_s)
-        base = BASELINES[key]
         out: Dict[str, Any] = {"cells": {}}
         total = 0.0
         for scheduler in schedulers:
             print(f"  {key} {scheduler} ...", flush=True)
             secs = bench_cell(fid, n, scheduler, reps)
             total += secs
-            out["cells"][scheduler] = {
-                "seconds": round(secs, 4),
-                "baseline_s": base[scheduler],
-                "speedup": round(base[scheduler] / secs, 2),
-            }
+            out["cells"][scheduler] = {"seconds": round(secs, 4)}
         out["total_s"] = round(total, 4)
-        out["baseline_total_s"] = round(sum(base[s] for s in schedulers), 4)
-        out["total_speedup"] = round(out["baseline_total_s"] / total, 2)
         report["e2e"][key] = out
     return report
 
@@ -355,11 +319,7 @@ def main(argv: Optional[list] = None) -> int:
         f"{report['darts_decision']['decision_wall_s']:.4f}s"
     )
     for key, data in report["e2e"].items():
-        print(
-            f"{key}: {data['total_s']:.2f}s vs baseline "
-            f"{data['baseline_total_s']:.2f}s "
-            f"-> x{data['total_speedup']:.2f}"
-        )
+        print(f"{key}: {data['total_s']:.2f}s")
 
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)

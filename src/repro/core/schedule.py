@@ -10,17 +10,33 @@ and the number of loads is ``Σ_i |D(T_σ(k,i)) \\ L(k, i-1)|``.
 
 :func:`replay_schedule` executes this state machine for a given task order
 and eviction policy, returning the exact load/eviction sequence — the
-*analytic* evaluation path (no timing, no bus).  It is the reference
-implementation the discrete-event simulator and all tests are checked
-against.
+*analytic* evaluation path (no timing, no bus).  It drives the same
+:mod:`repro.eviction` policy classes as the simulator's memories, through
+a view whose task buffer is the rest of σ, so each eviction rule has one
+implementation.  It is the reference the discrete-event simulator and
+all tests are checked against.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Type,
+    Union,
+)
 
 from repro.core.problem import TaskGraph
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.eviction.base import EvictionPolicy
 
 
 class InfeasibleScheduleError(Exception):
@@ -85,177 +101,23 @@ class Schedule:
                 raise InfeasibleScheduleError(f"unknown task id {t}")
 
 
-class ReplayPolicy:
-    """Offline eviction policy interface for :func:`replay_schedule`.
+class _ReplayView:
+    """The slice of :class:`~repro.simulator.view.RuntimeView` an eviction
+    policy reads, over a fixed σ.
 
-    A policy sees the per-GPU access stream and must pick a victim among
-    evictable resident data.  Subclasses override :meth:`choose_victim`
-    and any of the notification hooks.
+    ``task_buffer(gpu)`` is the not-yet-run suffix of ``gpu``'s order,
+    current task first: the whole future is known, so Belady and LUF see
+    all of it.  ``rng`` seeds :class:`~repro.eviction.RandomPolicy`.
     """
 
-    name = "abstract"
+    def __init__(self, graph: TaskGraph, schedule: Schedule) -> None:
+        self.graph = graph
+        self.rng = random.Random(0)
+        self._order = schedule.order
+        self.step = 0
 
-    def reset(self) -> None:
-        """Called once per GPU before its replay starts."""
-
-    def on_load(self, data_id: int, step: int) -> None:
-        """``data_id`` was just loaded before task index ``step``."""
-
-    def on_access(self, data_id: int, step: int) -> None:
-        """``data_id`` is used by the task at index ``step``."""
-
-    def on_evict(self, data_id: int, step: int) -> None:
-        """``data_id`` was evicted before task index ``step``."""
-
-    def choose_victim(
-        self,
-        candidates: Set[int],
-        step: int,
-        future: Sequence[Tuple[int, ...]],
-    ) -> int:
-        """Pick one of ``candidates`` to evict.
-
-        ``future`` holds the input tuples of tasks at indices ``step``,
-        ``step+1``, ... on this GPU (the current task first), so Belady-like
-        policies can look ahead.
-        """
-        raise NotImplementedError
-
-
-class LruReplay(ReplayPolicy):
-    """Least Recently Used: evict the candidate with the oldest access."""
-
-    name = "lru"
-
-    def __init__(self) -> None:
-        self._stamp: Dict[int, int] = {}
-        self._clock = 0
-
-    def reset(self) -> None:
-        self._stamp.clear()
-        self._clock = 0
-
-    def _touch(self, d: int) -> None:
-        self._clock += 1
-        self._stamp[d] = self._clock
-
-    def on_load(self, data_id: int, step: int) -> None:
-        self._touch(data_id)
-
-    def on_access(self, data_id: int, step: int) -> None:
-        self._touch(data_id)
-
-    def on_evict(self, data_id: int, step: int) -> None:
-        self._stamp.pop(data_id, None)
-
-    def choose_victim(
-        self,
-        candidates: Set[int],
-        step: int,
-        future: Sequence[Tuple[int, ...]],
-    ) -> int:
-        return min(candidates, key=lambda d: (self._stamp.get(d, -1), d))
-
-
-class FifoReplay(ReplayPolicy):
-    """First-In First-Out: evict the candidate loaded the longest ago."""
-
-    name = "fifo"
-
-    def __init__(self) -> None:
-        self._loaded_at: Dict[int, int] = {}
-        self._clock = 0
-
-    def reset(self) -> None:
-        self._loaded_at.clear()
-        self._clock = 0
-
-    def on_load(self, data_id: int, step: int) -> None:
-        self._clock += 1
-        self._loaded_at[data_id] = self._clock
-
-    def on_evict(self, data_id: int, step: int) -> None:
-        self._loaded_at.pop(data_id, None)
-
-    def choose_victim(
-        self,
-        candidates: Set[int],
-        step: int,
-        future: Sequence[Tuple[int, ...]],
-    ) -> int:
-        return min(candidates, key=lambda d: (self._loaded_at.get(d, -1), d))
-
-
-def next_use_distance(
-    data_id: int, future: Sequence[Tuple[int, ...]]
-) -> Optional[int]:
-    """Steps until ``data_id`` is next used, or ``None`` if never again.
-
-    ``future[0]`` is the current step's input tuple.
-    """
-    for offset, inputs in enumerate(future):
-        if data_id in inputs:
-            return offset
-    return None
-
-
-def belady_victim(
-    candidates: Iterable[int], future: Sequence[Tuple[int, ...]]
-) -> int:
-    """The Belady victim among ``candidates`` given the upcoming accesses.
-
-    A candidate never used again is always preferred; ties are broken by
-    smallest data id so the choice is deterministic.
-    """
-    best_d = -1
-    best_dist = -1
-    for d in sorted(candidates):
-        dist = next_use_distance(d, future)
-        if dist is None:
-            return d
-        if dist > best_dist:
-            best_dist, best_d = dist, d
-    if best_d < 0:
-        raise ValueError("belady_victim called with no candidates")
-    return best_d
-
-
-class BeladyReplay(ReplayPolicy):
-    """Belady/MIN: evict the candidate whose next use is furthest away.
-
-    Optimal for a fixed σ (paper Section III); ties and never-used-again
-    candidates are broken by smallest id for determinism.
-    """
-
-    name = "belady"
-
-    def choose_victim(
-        self,
-        candidates: Set[int],
-        step: int,
-        future: Sequence[Tuple[int, ...]],
-    ) -> int:
-        return belady_victim(candidates, future)
-
-
-_REPLAY_POLICIES = {
-    "lru": LruReplay,
-    "fifo": FifoReplay,
-    "belady": BeladyReplay,
-}
-
-
-def make_replay_policy(policy: Union[str, ReplayPolicy]) -> ReplayPolicy:
-    """Instantiate a replay policy from its name, or pass one through."""
-    if isinstance(policy, ReplayPolicy):
-        return policy
-    try:
-        return _REPLAY_POLICIES[policy]()
-    except KeyError:
-        raise ValueError(
-            f"unknown replay policy {policy!r}; expected one of "
-            f"{sorted(_REPLAY_POLICIES)} or a ReplayPolicy instance"
-        ) from None
+    def task_buffer(self, gpu: int) -> List[int]:
+        return self._order[gpu][self.step :]
 
 
 @dataclass
@@ -308,7 +170,7 @@ def replay_schedule(
     graph: TaskGraph,
     schedule: Schedule,
     capacity_items: Optional[int] = None,
-    policy: Union[str, ReplayPolicy] = "lru",
+    policy: Union[str, Type["EvictionPolicy"]] = "lru",
     capacity_bytes: Optional[float] = None,
 ) -> ReplayResult:
     """Execute σ analytically and count loads and evictions exactly.
@@ -316,6 +178,11 @@ def replay_schedule(
     Capacity is given either as ``capacity_items`` (the paper's ``M``:
     number of equal-size data) or ``capacity_bytes`` for heterogeneous
     sizes.  Exactly one must be provided, or neither for unlimited memory.
+
+    ``policy`` names a rule of :data:`repro.eviction.POLICY_NAMES` or is
+    an :class:`~repro.eviction.EvictionPolicy` subclass; one instance is
+    built per GPU, over a view whose task buffer is the GPU's remaining
+    order.
 
     Data are loaded as late as possible and evictions happen only when the
     memory is full, matching the paper's model.  Inputs of the current task
@@ -325,6 +192,8 @@ def replay_schedule(
     single package or a brute-force partition leg); completeness is the
     caller's concern via :meth:`Schedule.validate`.
     """
+    from repro.eviction import make_policy
+
     schedule.validate_partial(graph)
     if capacity_items is not None and capacity_bytes is not None:
         raise ValueError("give capacity_items or capacity_bytes, not both")
@@ -341,19 +210,19 @@ def replay_schedule(
                 )
             capacity_bytes = capacity_items * usz
 
-    pol = make_replay_policy(policy)
+    view = _ReplayView(graph, schedule)
     sizes = [d.size for d in graph.data]
-    result = ReplayResult(gpus=[], policy_name=pol.name)
+    name = policy if isinstance(policy, str) else policy.name
+    result = ReplayResult(gpus=[], policy_name=name)
 
     for k in range(schedule.n_gpus):
-        order = schedule.order[k]
-        future_inputs: List[Tuple[int, ...]] = [graph.inputs_of(t) for t in order]
-        pol.reset()
+        pol = make_policy(policy, k, view, None)
         gpu = GpuReplay()
         resident: Set[int] = set()
         used = 0.0
 
-        for step, task_id in enumerate(order):
+        for step, task_id in enumerate(schedule.order[k]):
+            view.step = step
             inputs = graph.inputs_of(task_id)
             need = sum(sizes[d] for d in inputs)
             if need > capacity_bytes:
@@ -362,7 +231,7 @@ def replay_schedule(
                     f"{capacity_bytes:.0f}B on GPU {k}"
                 )
             protected = set(inputs)
-            for d in sorted(set(inputs) - resident):
+            for d in sorted(protected - resident):
                 while used + sizes[d] > capacity_bytes:
                     candidates = resident - protected
                     if not candidates:
@@ -370,24 +239,22 @@ def replay_schedule(
                             f"GPU {k} step {step}: nothing evictable while "
                             f"loading data {d} for task {task_id}"
                         )
-                    victim = pol.choose_victim(
-                        candidates, step, future_inputs[step:]
-                    )
+                    victim = pol.choose_victim(candidates)
                     if victim not in candidates:
                         raise InfeasibleScheduleError(
-                            f"policy {pol.name} returned non-candidate {victim}"
+                            f"policy {name} returned non-candidate {victim}"
                         )
                     resident.discard(victim)
                     used -= sizes[victim]
-                    pol.on_evict(victim, step)
+                    pol.on_evict(victim)
                     gpu.evictions.append((step, victim))
                 resident.add(d)
                 used += sizes[d]
-                pol.on_load(d, step)
+                pol.on_insert(d)
                 gpu.loads.append((step, d))
                 gpu.bytes_loaded += sizes[d]
             for d in inputs:
-                pol.on_access(d, step)
+                pol.on_access(d)
             gpu.live_sizes.append(len(resident))
 
         result.gpus.append(gpu)

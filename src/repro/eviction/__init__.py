@@ -9,7 +9,11 @@
   (Algorithm 6), driven by DARTS's ``plannedTasks`` and the runtime's
   ``taskBuffer``.
 
-Policies are instantiated per GPU by :func:`make_policy`.
+Policies are instantiated per GPU by :func:`make_policy`, the one
+registry of eviction rules: the simulator's memories and the analytic
+replay of :func:`repro.core.schedule.replay_schedule` both build their
+policies here.  Belady's rule itself is
+:func:`repro.core.belady.belady_victim`.
 """
 
 from repro.eviction.base import EvictionPolicy
@@ -37,16 +41,17 @@ POLICY_NAMES = tuple(sorted(_BY_NAME))
 def make_policy(name, gpu, view, scheduler):
     """Build the eviction policy ``name`` for GPU ``gpu``.
 
-    ``view`` is the :class:`repro.simulator.runtime.RuntimeView`;
-    ``scheduler`` is passed so LUF can read ``planned_tasks`` and
-    OnlineBelady can read ``remaining_order``.
+    ``name`` is one of :data:`POLICY_NAMES` or an :class:`EvictionPolicy`
+    subclass.  ``view`` is the :class:`repro.simulator.runtime.RuntimeView`
+    (or the analytic replay's view of a fixed σ); ``scheduler`` is passed
+    so LUF can read ``planned_tasks`` and OnlineBelady can read
+    ``remaining_order``.
     """
-    try:
-        cls = _BY_NAME[name]
-    except KeyError:
+    cls = name if isinstance(name, type) else _BY_NAME.get(name)
+    if cls is None:
         raise ValueError(
             f"unknown eviction policy {name!r}; expected one of {POLICY_NAMES}"
-        ) from None
+        )
     return cls(gpu=gpu, view=view, scheduler=scheduler)
 
 

@@ -6,12 +6,18 @@ offline-optimal eviction of the paper's Section III inside the simulator.
 Dynamic schedulers expose nothing, in which case the policy degrades to
 "evict anything not needed by the task buffer" with LRU ordering as the
 tiebreak — it never crashes, but it is only *optimal* with full knowledge.
+
+The analytic replay (:func:`repro.core.schedule.replay_schedule`) drives
+this same class, with the rest of σ as the task buffer.  The rule itself
+is :func:`repro.core.belady.belady_victim`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Set
+from itertools import chain
+from typing import Dict, Iterable, Set
 
+from repro.core.belady import belady_victim
 from repro.eviction.base import EvictionPolicy
 
 
@@ -36,30 +42,16 @@ class OnlineBeladyPolicy(EvictionPolicy):
     def on_evict(self, data_id: int) -> None:
         self._stamp.pop(data_id, None)
 
-    def _future_tasks(self):
-        assert self.view is not None
-        future = list(self.view.task_buffer(self.gpu))
-        if self.scheduler is not None:
-            future.extend(self.scheduler.remaining_order(self.gpu))
-        return future
-
     def choose_victim(self, candidates: Set[int]) -> int:
-        graph = self.view.graph
-        future = self._future_tasks()
-        best_d = -1
-        best_key = None
-        for d in sorted(candidates):
-            dist = None
-            for offset, t in enumerate(future):
-                if d in graph.inputs_of(t):
-                    dist = offset
-                    break
-            if dist is None:
-                # Never used again (as far as we know): ideal victim; among
-                # several, prefer the least recently used.
-                key = (2, -self._stamp.get(d, -1), 0)
-            else:
-                key = (1, dist, 0)
-            if best_key is None or key > best_key:
-                best_key, best_d = key, d
-        return best_d
+        assert self.view is not None
+        inputs_of = self.view.graph.inputs_of
+        future: Iterable[int] = self.view.task_buffer(self.gpu)
+        if self.scheduler is not None:
+            future = chain(future, self.scheduler.remaining_order(self.gpu))
+        # Among data never used again (as far as we know), the least
+        # recently used goes first.
+        return belady_victim(
+            candidates,
+            map(inputs_of, future),
+            unused_key=lambda d: (self._stamp.get(d, -1), d),
+        )

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Set, Tuple
 
+from repro.core.belady import belady_victim
 from repro.eviction.base import EvictionPolicy
 
 
@@ -57,12 +58,4 @@ class LufPolicy(EvictionPolicy):
         if unused:
             return min(unused, key=lambda d: (np_[d], d))
         # Belady fallback over the task buffer (rarely reached, per paper).
-        graph = self.view.graph
-
-        def next_use(d: int) -> int:
-            for offset, t in enumerate(buffer):
-                if d in graph.inputs_of(t):
-                    return offset
-            return len(buffer)  # unreachable given nb[d] > 0, kept safe
-
-        return max(sorted(candidates), key=lambda d: (next_use(d), -d))
+        return belady_victim(candidates, map(self.view.graph.inputs_of, buffer))

@@ -39,6 +39,18 @@ class TestVictimSelection:
         future = [(9,)]  # neither candidate ever used
         assert belady_victim({4, 7}, future) == 4
 
+    def test_unused_key_orders_never_used_candidates(self):
+        future = [(4,), (9,)]
+        assert belady_victim({4, 7, 8}, future, unused_key=lambda d: -d) == 8
+
+    def test_future_read_only_until_every_candidate_seen(self):
+        def future():
+            yield (1,)
+            yield (2,)
+            raise AssertionError("read past the last candidate's next use")
+
+        assert belady_victim({1, 2}, future()) == 2
+
     def test_empty_candidates_raise(self):
         with pytest.raises(ValueError):
             belady_victim(set(), [(1,)])

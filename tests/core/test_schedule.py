@@ -5,13 +5,11 @@ import pytest
 from repro.core.problem import TaskGraph
 from repro.core.schedule import (
     InfeasibleScheduleError,
-    LruReplay,
-    ReplayPolicy,
     Schedule,
-    make_replay_policy,
     replay_schedule,
     verify_live_set_recursion,
 )
+from repro.eviction import POLICY_NAMES, EvictionPolicy, LruPolicy
 
 
 class TestScheduleObject:
@@ -151,25 +149,24 @@ class TestReplayMechanics:
         assert res.loads_on(1) == 4
         assert res.total_loads == 12
 
-    def test_policy_instance_accepted(self, figure1_graph):
+    def test_policy_class_accepted(self, figure1_graph):
         s = Schedule.single_gpu(list(range(9)))
-        res = replay_schedule(
-            figure1_graph, s, capacity_items=2, policy=LruReplay()
+        by_class = replay_schedule(
+            figure1_graph, s, capacity_items=2, policy=LruPolicy
         )
-        assert res.policy_name == "lru"
+        by_name = replay_schedule(figure1_graph, s, capacity_items=2)
+        assert by_class.policy_name == "lru"
+        assert by_class.gpus[0].loads == by_name.gpus[0].loads
+        assert by_class.gpus[0].evictions == by_name.gpus[0].evictions
 
     def test_unknown_policy_name_raises(self, figure1_graph):
-        with pytest.raises(ValueError, match="unknown replay policy"):
+        with pytest.raises(ValueError, match="unknown eviction policy"):
             replay_schedule(
                 figure1_graph,
                 Schedule.single_gpu(list(range(9))),
                 capacity_items=2,
                 policy="clairvoyant",
             )
-
-    def test_make_replay_policy_all_names(self):
-        for name in ("lru", "fifo", "belady"):
-            assert make_replay_policy(name).name == name
 
     def test_replay_is_deterministic(self, figure1_graph):
         s = Schedule.single_gpu([0, 3, 6, 1, 4, 7, 2, 5, 8])
@@ -179,10 +176,10 @@ class TestReplayMechanics:
         assert a.gpus[0].evictions == b.gpus[0].evictions
 
     def test_bad_policy_choice_detected(self, figure1_graph):
-        class Rogue(ReplayPolicy):
+        class Rogue(EvictionPolicy):
             name = "rogue"
 
-            def choose_victim(self, candidates, step, future):
+            def choose_victim(self, candidates):
                 return -42
 
         with pytest.raises(InfeasibleScheduleError, match="non-candidate"):
@@ -190,8 +187,21 @@ class TestReplayMechanics:
                 figure1_graph,
                 Schedule.single_gpu(list(range(9))),
                 capacity_items=2,
-                policy=Rogue(),
+                policy=Rogue,
             )
+
+
+@pytest.mark.parametrize("name", POLICY_NAMES)
+def test_every_registered_policy_replays(figure1_graph, name):
+    """The replay's view supplies what every policy reads (the task
+    buffer for Belady and LUF, the RNG for Random), and no policy beats
+    Belady on a fixed order."""
+    s = Schedule(order=[[0, 3, 6, 1, 4, 7], [2, 5, 8]])
+    res = replay_schedule(figure1_graph, s, capacity_items=2, policy=name)
+    assert res.policy_name == name
+    verify_live_set_recursion(figure1_graph, s, res, capacity_items=2)
+    best = replay_schedule(figure1_graph, s, capacity_items=2, policy="belady")
+    assert res.total_loads >= best.total_loads
 
 
 class TestFifoVsLru:

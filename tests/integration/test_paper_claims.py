@@ -70,8 +70,11 @@ class TestFig3Fig4SingleGpu:
     def test_mhfp_good_schedule_but_heavy_scheduling_time(self, pressured_2d):
         r = run(pressured_2d, 1, "mhfp")
         assert r.gflops > 0.9 * roofline_gflops(1, 13253.0)
-        # the packing cost is significant relative to the makespan
-        assert r.scheduling_time > 0.5 * r.makespan
+        # The packing cost dwarfs a dynamic scheduler's decisions.  Both
+        # are host time measured in this process, so host speed cancels
+        # out (about 45x measured on a 2-CPU host).
+        luf = run(pressured_2d, 1, "darts+luf")
+        assert r.scheduling_time > 10 * luf.scheduling_time
 
     def test_unconstrained_memory_everyone_is_fine(self):
         g = matmul2d(12)  # 354 MB: both matrices fit

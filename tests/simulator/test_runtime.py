@@ -1,6 +1,8 @@
 """Integration tests for the StarPU-like runtime."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.schedule import Schedule
 from repro.schedulers.eager import Eager
@@ -179,26 +181,38 @@ class TestFixedScheduleBridge:
         )
         assert result.executed_order == order
 
-    def test_fixed_schedule_matches_analytic_loads(self, figure1_graph):
-        """window=1, LRU: the simulator's loads equal the analytic replay."""
+    @given(
+        st.integers(3, 10),
+        st.integers(2, 20),
+        st.integers(1, 3),
+        st.integers(0, 9999),
+        st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_fixed_schedule_matches_analytic_loads(
+        self, n_data, n_tasks, arity, seed, data
+    ):
+        """window=1, LRU: the simulator's loads equal the analytic replay
+        of the same order, both driving :class:`LruPolicy`."""
         from repro.core.schedule import replay_schedule
 
-        order = [[0, 1, 4, 3], [2, 5, 8, 7, 6]]
-        sched = FixedSchedule(Schedule(order=[list(o) for o in order]))
+        graph = unit_graph(n_tasks, n_data, arity=arity, seed=seed)
+        memory = data.draw(st.integers(arity, n_data + 1))
+        order = data.draw(st.permutations(range(n_tasks)))
         result = simulate(
-            figure1_graph,
-            toy_platform(n_gpus=2, memory=2.0),
-            sched,
+            graph,
+            toy_platform(memory=float(memory)),
+            FixedSchedule(Schedule.single_gpu(order)),
             eviction="lru",
             window=1,
         )
         analytic = replay_schedule(
-            figure1_graph,
-            Schedule(order=[list(o) for o in order]),
-            capacity_items=2,
+            graph,
+            Schedule.single_gpu(order),
+            capacity_items=memory,
             policy="lru",
         )
-        assert result.total_loads == analytic.total_loads == 11
+        assert result.total_loads == analytic.total_loads
 
     def test_gpu_count_mismatch_rejected(self, figure1_graph):
         sched = FixedSchedule(Schedule.single_gpu(list(range(9))))
