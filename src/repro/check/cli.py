@@ -5,8 +5,9 @@ Two stages, both gating the exit code:
 1. the static determinism/API linter over ``src/`` (or the paths given);
 2. sanitized smoke simulations of the paper's five scheduling
    strategies (EAGER, DMDA, DMDAR, mHFP, hMETIS+R — plus DARTS+LUF for
-   the paper's contribution) on a small matmul instance, each run twice
-   to verify the same-seed trace-digest contract (SAN007).
+   the paper's contribution) on a small matmul instance, and of DARTS's
+   two 3inputs variants on a small Cholesky task set, each run twice to
+   verify the same-seed trace-digest contract (SAN007).
 
 Exit status 0 means: no lint violations, no sanitizer violations, and
 bit-identical double runs for every scheduler.
@@ -17,7 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from repro.check.lint.framework import LintViolation, Linter, all_rules
 from repro.check.lint.reporters import json_report, text_report
@@ -32,6 +33,38 @@ SMOKE_SCHEDULERS: Sequence[str] = (
     "hmetis+r",
     "darts+luf",
 )
+
+#: DARTS's variants for tasks with three inputs, smoke-simulated on the
+#: Cholesky task set: matmul2d's tasks read two data, so neither the
+#: two-loads fallback nor OPTI's early exit ever runs there
+THREE_INPUT_SMOKE_SCHEDULERS: Sequence[str] = (
+    "darts+luf-3inputs",
+    "darts+luf+opti-3inputs",
+)
+
+ALL_SMOKE_SCHEDULERS = (*SMOKE_SCHEDULERS, *THREE_INPUT_SMOKE_SCHEDULERS)
+
+
+def _smoke_cases(n_gpus: int) -> Iterator[Tuple[str, Any, Any]]:
+    """``(scheduler, graph, platform)`` of every smoke run, in
+    ``ALL_SMOKE_SCHEDULERS`` order.
+
+    Each GPU holds 8 blocks, of matmul2d(6)'s 12 and cholesky_tasks(6)'s
+    21: small enough to force evictions (exercising SAN001/SAN003/SAN006)
+    on a seconds-long smoke run.
+    """
+    from repro.platform.spec import tesla_v100_node
+    from repro.workloads.cholesky import cholesky_tasks
+    from repro.workloads.matmul2d import matmul2d
+
+    for graph, names in (
+        (matmul2d(6), SMOKE_SCHEDULERS),
+        (cholesky_tasks(6), THREE_INPUT_SMOKE_SCHEDULERS),
+    ):
+        block = graph.data[0].size
+        platform = tesla_v100_node(n_gpus=n_gpus, memory_bytes=8 * block)
+        for name in names:
+            yield name, graph, platform
 
 
 def _default_lint_root() -> Optional[Path]:
@@ -58,18 +91,10 @@ def run_lint(
 
 def run_smoke(verbose: bool = False) -> List[str]:
     """Sanitized double-run smoke simulations; returns problem strings."""
-    from repro.platform.spec import tesla_v100_node
     from repro.simulator.sanitizer import Sanitizer, check_determinism
-    from repro.workloads.matmul2d import matmul2d
-
-    graph = matmul2d(6)
-    # Memory holds ~8 of the 12 blocks: small enough to force evictions
-    # (exercising SAN001/SAN003/SAN006) on a seconds-long smoke run.
-    block = graph.data[0].size
-    platform = tesla_v100_node(n_gpus=2, memory_bytes=8 * block)
 
     problems: List[str] = []
-    for name in SMOKE_SCHEDULERS:
+    for name, graph, platform in _smoke_cases(n_gpus=2):
         collector = Sanitizer(strict=False)
         try:
             digest = check_determinism(
@@ -81,7 +106,7 @@ def run_smoke(verbose: bool = False) -> List[str]:
         for v in collector.violations:
             problems.append(f"{name}: {v.format()}")
         if verbose and not collector.violations:
-            print(f"  smoke {name:12s} ok  digest={digest[:16]}…")
+            print(f"  smoke {name:22s} ok  digest={digest[:16]}…")
     return problems
 
 
@@ -96,7 +121,6 @@ def run_fault_smoke(verbose: bool = False) -> List[str]:
     SAN008 (exactly-once completion), SAN009 (no fetch from a failed
     device), SAN010 (degraded makespan within surviving capacity).
     """
-    from repro.platform.spec import tesla_v100_node
     from repro.simulator.faults import (
         DeviceFailure,
         FaultPlan,
@@ -106,14 +130,9 @@ def run_fault_smoke(verbose: bool = False) -> List[str]:
     from repro.simulator.runtime import simulate
     from repro.simulator.sanitizer import Sanitizer, check_determinism
     from repro.schedulers.registry import make_scheduler
-    from repro.workloads.matmul2d import matmul2d
-
-    graph = matmul2d(6)
-    block = graph.data[0].size
-    platform = tesla_v100_node(n_gpus=3, memory_bytes=8 * block)
 
     problems: List[str] = []
-    for name in SMOKE_SCHEDULERS:
+    for name, graph, platform in _smoke_cases(n_gpus=3):
         try:
             sched, eviction = make_scheduler(name)
             base = simulate(graph, platform, sched, eviction=eviction, seed=0)
@@ -136,7 +155,7 @@ def run_fault_smoke(verbose: bool = False) -> List[str]:
         for v in collector.violations:
             problems.append(f"{name}: {v.format()}")
         if verbose and not collector.violations:
-            print(f"  fault-smoke {name:12s} ok  digest={digest[:16]}…")
+            print(f"  fault-smoke {name:22s} ok  digest={digest[:16]}…")
     return problems
 
 
@@ -210,12 +229,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not args.no_smoke:
         if not args.json:
             print("running sanitized smoke simulations "
-                  f"({', '.join(SMOKE_SCHEDULERS)}) ...")
+                  f"({', '.join(ALL_SMOKE_SCHEDULERS)}) ...")
         smoke_problems = run_smoke(verbose=args.verbose)
         for p in smoke_problems:
             print(f"smoke: {p}", file=sys.stderr)
         if not args.json:
-            n = len(SMOKE_SCHEDULERS)
+            n = len(ALL_SMOKE_SCHEDULERS)
             ok = n - len({p.split(":", 1)[0] for p in smoke_problems})
             print(f"repro.check smoke: {ok}/{n} schedulers clean")
 
@@ -223,12 +242,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.fault_smoke:
         if not args.json:
             print("running fault-injection smoke simulations "
-                  f"({', '.join(SMOKE_SCHEDULERS)}) ...")
+                  f"({', '.join(ALL_SMOKE_SCHEDULERS)}) ...")
         fault_problems = run_fault_smoke(verbose=args.verbose)
         for p in fault_problems:
             print(f"fault-smoke: {p}", file=sys.stderr)
         if not args.json:
-            n = len(SMOKE_SCHEDULERS)
+            n = len(ALL_SMOKE_SCHEDULERS)
             ok = n - len({p.split(":", 1)[0] for p in fault_problems})
             print(f"repro.check fault-smoke: {ok}/{n} schedulers clean")
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import deque
-from itertools import compress, islice
+from itertools import islice
 from typing import (
     Deque,
     Dict,
@@ -107,12 +107,12 @@ class Darts(Scheduler):
             and graph.working_set_bytes
             > self.threshold_activation_ratio * total_memory
         )
-        #: the threshold's scan order: every datum's
+        #: the scan order of OPTI and the threshold: every datum's
         #: ``(-remaining_users, id)`` key, kept sorted by ``task_done``
-        #: (only while the threshold is active)
-        self._threshold_order: Optional[List[Tuple[int, int]]] = (
+        #: (only for OPTI or while the threshold is active)
+        self._scan_order: Optional[List[Tuple[int, int]]] = (
             sorted((-r, d) for d, r in enumerate(self._remaining_users))
-            if self._threshold_active
+            if self.opti or self._threshold_active
             else None
         )
         self._build_index()
@@ -130,18 +130,20 @@ class Darts(Scheduler):
     #   _two_missing[g][t] — (3inputs only) 1 iff t is unowned and
     #                        missing exactly two inputs on g; a flag
     #                        array rather than a set, because it holds
-    #                        up to every task per GPU and
-    #                        ``compress(range(n_tasks), ...)`` lists its
-    #                        members in id order at C speed.
+    #                        up to every task per GPU (one byte each,
+    #                        where a set costs tens), and
+    #                        ``bytearray.find(1, t + 1)`` jumps to the
+    #                        next member in id order at C speed.
     # Updated on every held-set transition (``on_fetch_issued``, which
     # fires for fetches and output allocations alike, and
     # ``on_data_evicted``) and on tasks entering/leaving the unowned
     # pool; an emptied entry is deleted.  ``n(D)``, the number of free
     # tasks a datum unlocks, is ``len(_free_by_datum[g][D])``, so
     # ``_refill`` visits only the data that unlock a free task (the
-    # index's keys) instead of every datum of ``dataNotInMem``, and the
-    # 3inputs fallback only the tasks two loads away instead of every
-    # unowned one.  Dependency release is filtered at query time
+    # index's keys) instead of every datum of ``dataNotInMem``, OPTI
+    # stops at the first datum of ``_scan_order`` keying an entry, and
+    # the 3inputs fallback visits only the tasks two loads away instead
+    # of every unowned one.  Dependency release is filtered at query time
     # (``is_released`` flips as tasks finish, without any per-datum
     # event).  ``_n_users[d]`` is ``len(users_of(d))``, the ops a scan
     # charges per datum visited.  ``check_index`` asserts equality with
@@ -226,14 +228,14 @@ class Darts(Scheduler):
             if self.three_inputs:
                 assert self._two_missing[g] == two, (
                     f"gpu{g}: two_missing "
-                    f"{list(compress(range(graph.n_tasks), self._two_missing[g]))}"
-                    f" != {list(compress(range(graph.n_tasks), two))}"
+                    f"{[t for t, f in enumerate(self._two_missing[g]) if f]}"
+                    f" != {[t for t, f in enumerate(two) if f]}"
                 )
-        if self._threshold_order is not None:
+        if self._scan_order is not None:
             ru = self._remaining_users
-            assert self._threshold_order == sorted(
+            assert self._scan_order == sorted(
                 (-ru[d], d) for d in range(graph.n_data)
-            ), "threshold order != sorted (-remaining_users, id)"
+            ), "scan order != sorted (-remaining_users, id)"
 
     # ------------------------------------------------------------------
     # Algorithm 5
@@ -251,7 +253,7 @@ class Darts(Scheduler):
         graph = self.view.graph
         inmem = self.view.held(gpu)
         planned = self._planned[gpu]
-        order = self._threshold_order
+        order = self._scan_order
         deps = self.view.has_dependencies
         released = self.view.is_released
         not_in_mem = self._data_not_in_mem[gpu]
@@ -263,19 +265,36 @@ class Darts(Scheduler):
         # set.  The only other way a held set shrinks is
         # DeviceMemory.fail(), and a dead GPU is never refilled.
         not_in_mem -= not_in_mem & inmem
-        if order is None:
-            n_max, candidates = self._scan_index(gpu, not_in_mem)
+        if order is None or (
+            not self._threshold_active and not_in_mem.isdisjoint(idx)
+        ):
+            # The full scan visits every datum of ``not_in_mem``,
+            # charging ``len(users_of(d))`` each, and so does OPTI when
+            # none of them keys an index entry.  Only such data can have
+            # ``n(D) > 0``; candidate order is irrelevant, since
+            # ``_select_candidate`` sorts.
+            self.charge_ops(sum(map(self._n_users.__getitem__, not_in_mem)))
+            n_free: Dict[int, int] = {}
+            for d, s in idx.items():
+                if d in not_in_mem:
+                    n_d = sum(map(released, s)) if deps else len(s)
+                    if n_d:
+                        n_free[d] = n_d
+            n_max = max(n_free.values(), default=0)
+            candidates = [d for d, n_d in n_free.items() if n_d == n_max]
         else:
-            # Scan the ``threshold`` data with the most remaining
-            # unprocessed users first (ids break ties), so an early hit
-            # is usually a good one: the first ``threshold`` data of
-            # ``dataNotInMem`` in the maintained ``(-remaining_users, id)``
-            # order, i.e. ``sorted(not_in_mem, key=...)[:threshold]``.
-            n_max, candidates = 0, []
-            for d in islice(
-                (d for _, d in order if d in not_in_mem), self.threshold
-            ):
-                self.charge_ops(len(graph.users_of(d)))
+            # OPTI and the threshold visit the data with the most
+            # remaining unprocessed users first (ids break ties), so an
+            # early hit is usually a good one: ``dataNotInMem`` in the
+            # maintained ``(-remaining_users, id)`` order, i.e.
+            # ``sorted(not_in_mem, key=...)``, cut to its first
+            # ``threshold`` data while the threshold is active.  OPTI
+            # stops at its first hit.
+            n_users = self._n_users
+            limit = self.threshold if self._threshold_active else None
+            n_max, candidates, ops = 0, [], 0
+            for d in islice((d for _, d in order if d in not_in_mem), limit):
+                ops += n_users[d]
                 s = idx.get(d, ())
                 n_d = sum(map(released, s)) if deps else len(s)
                 if n_d > n_max:
@@ -285,6 +304,7 @@ class Darts(Scheduler):
                         break
                 elif n_d == n_max and n_d > 0:
                     candidates.append(d)
+            self.charge_ops(ops)
 
         if n_max > 0:
             d_opt = self._select_candidate(candidates)
@@ -317,58 +337,6 @@ class Darts(Scheduler):
         self._take(gpu, task)
         return task
 
-    def _scan_index(
-        self, gpu: int, not_in_mem: Set[int]
-    ) -> Tuple[int, List[int]]:
-        """The full scan and OPTI over the free-task index.
-
-        Returns ``(n_max, candidates)`` and charges the ops the per-datum
-        scan of ``not_in_mem`` (purged of held data) would: one
-        ``len(users_of(d))`` per datum visited.  Only data keying an
-        index entry can have ``n(D) > 0``; every other datum scans to
-        ``n(D) = 0``.  The full scan visits all of
-        ``not_in_mem``.  OPTI visits it in ``(-remaining_users, d)``
-        order up to its first hit: the least such key among the data with
-        ``n(D) > 0``.  Candidate order is irrelevant, since
-        ``_select_candidate`` sorts.
-        """
-        released = self.view.is_released
-        deps = self.view.has_dependencies
-        idx = self._free_by_datum[gpu]
-        n_users = self._n_users
-        if self.opti:
-            ru = self._remaining_users
-            unlocking = [
-                d
-                for d, s in idx.items()
-                if d in not_in_mem and (not deps or any(map(released, s)))
-            ]
-            if not unlocking:
-                self.charge_ops(sum(map(n_users.__getitem__, not_in_mem)))
-                return 0, []
-            r_hit = max(map(ru.__getitem__, unlocking))
-            hit = min(d for d in unlocking if ru[d] == r_hit)
-            self.charge_ops(
-                sum(
-                    n_users[d]
-                    for d in not_in_mem
-                    if ru[d] > r_hit or (ru[d] == r_hit and d <= hit)
-                )
-            )
-            s = idx[hit]
-            return (sum(map(released, s)) if deps else len(s)), [hit]
-        self.charge_ops(sum(map(n_users.__getitem__, not_in_mem)))
-        n_free: Dict[int, int] = {}
-        for d, s in idx.items():
-            if d in not_in_mem:
-                n_d = sum(map(released, s)) if deps else len(s)
-                if n_d:
-                    n_free[d] = n_d
-        if not n_free:
-            return 0, []
-        n_max = max(n_free.values())
-        return n_max, [d for d, n_d in n_free.items() if n_d == n_max]
-
     def _select_candidate(self, candidates: List[int]) -> int:
         """Among equally-unlocking data, prefer the most used overall."""
         if len(candidates) == 1:
@@ -384,20 +352,22 @@ class Darts(Scheduler):
 
         Find the datum ``D`` maximising the number of unowned tasks that
         need ``D`` plus exactly one other absent datum; return one such
-        task (so both its missing inputs get loaded).
+        task (so both its missing inputs get loaded).  The flagged tasks
+        of ``_two_missing`` are exactly those, visited in id order.
         """
-        graph = self.view.graph
+        inputs_of = self.view.graph.inputs_of
+        released = self.view.is_released
+        two = self._two_missing[gpu]
         score: Dict[int, int] = {}
         task_for: Dict[int, int] = {}
-        for t in compress(range(graph.n_tasks), self._two_missing[gpu]):
-            if not self.view.is_released(t):
-                continue
-            missing = [x for x in graph.inputs_of(t) if x not in inmem]
-            if len(missing) != 2:
-                continue
-            for d in missing:
-                score[d] = score.get(d, 0) + 1
-                task_for.setdefault(d, t)
+        t = two.find(1)
+        while t >= 0:
+            if released(t):
+                for d in inputs_of(t):
+                    if d not in inmem:
+                        score[d] = score.get(d, 0) + 1
+                        task_for.setdefault(d, t)
+            t = two.find(1, t + 1)
         if not score:
             return None
         best = max(score.values())
@@ -427,7 +397,7 @@ class Darts(Scheduler):
     def task_done(self, gpu: int, task_id: int) -> None:
         self._executed.add(task_id)
         ru = self._remaining_users
-        order = self._threshold_order
+        order = self._scan_order
         for d in self.view.graph.inputs_of(task_id):
             if order is not None:
                 key = -ru[d]

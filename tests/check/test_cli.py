@@ -4,7 +4,12 @@ import json
 
 import pytest
 
-from repro.check.cli import SMOKE_SCHEDULERS, main, run_smoke
+from repro.check.cli import (
+    SMOKE_SCHEDULERS,
+    THREE_INPUT_SMOKE_SCHEDULERS,
+    main,
+    run_smoke,
+)
 
 
 class TestExitCodes:
@@ -69,6 +74,13 @@ class TestSmoke:
         assert {"eager", "dmda", "dmdar", "mhfp", "hmetis+r"} <= set(
             SMOKE_SCHEDULERS
         )
+
+    def test_smoke_covers_three_input_variants(self):
+        """The 3inputs fallback and OPTI run only on three-input tasks."""
+        assert set(THREE_INPUT_SMOKE_SCHEDULERS) == {
+            "darts+luf-3inputs",
+            "darts+luf+opti-3inputs",
+        }
 
     def test_smoke_runs_clean(self):
         assert run_smoke() == []

@@ -91,10 +91,16 @@ OUTPUT_PINS = {
 #: scheduler -> (virtual_decision_time, makespan) on ``cholesky_dag(14)``
 #: with its dependencies over ``tesla_v100_node(4, memory_bytes=100e6)``,
 #: seed 0: Ready pops under dependencies and eviction pressure (hMETIS+R
-#: also steals).  Recorded before Ready popped from buckets.
+#: also steals).  Recorded before Ready popped from buckets.  The two
+#: 3inputs variants run OPTI's released filter and the two-loads
+#: fallback on tasks not yet released; recorded before LUF chose its
+#: victim by set difference, the fallback found its flags with
+#: ``bytearray.find`` and OPTI walked the kept scan order.
 DAG_PINS = {
     "dmdar": (0.0019296499999999959, 0.13339082660529686),
     "hmetis+r": (0.0022615999999999943, 0.11031665379924291),
+    "darts+luf-3inputs": (0.053516150000000005, 0.14681292385982694),
+    "darts+luf+opti-3inputs": (0.03514185000000002, 0.14936347574695677),
 }
 
 

@@ -161,10 +161,11 @@ class TestFig11Cholesky:
         """OPTI's point: an order of magnitude less *modeled* scan work.
 
         The claim lives in ``virtual_decision_time`` (charge_ops).  Host
-        wall time is no longer a meaningful proxy: the incremental
-        free-task index made the full scan's per-candidate cost O(1), so
-        both variants' wall clocks are dominated by the same bookkeeping
-        — we only check OPTI is not wildly slower in wall terms."""
+        wall time is no proxy for it: the full scan visits only the
+        free-task index's keys, and OPTI walks the kept scan order to its
+        first hit, so neither pays per datum what the model charges, and
+        their host decision times come out within a small factor of each
+        other — we only check OPTI is not wildly slower in wall terms."""
         g = cholesky_tasks(16)
         full = run(g, 4, "darts+luf-3inputs")
         opti = run(g, 4, "darts+luf+opti-3inputs")

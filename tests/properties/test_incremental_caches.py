@@ -2,7 +2,7 @@
 
 The core optimization replaced from-scratch rescans with incremental
 state (memory present/fetching/evictable sets, the DARTS free-task
-index and threshold order, the Ready missing-bytes buckets).  These
+index and scan order, the Ready missing-bytes buckets).  These
 tests drive the caches through arbitrary operation sequences — both
 synthetic ones against a bare :class:`DeviceMemory` and real
 simulations on random graphs — and assert at every step that each cache
@@ -130,9 +130,44 @@ def reference_scan(sched, gpu):
     return n_max, set(candidates), ops
 
 
+def reference_two_load(sched, gpu):
+    """The 3inputs fallback's choice, recomputed from scratch.
+
+    Over the released unowned tasks missing exactly two inputs on
+    ``gpu``, in ascending id, scores each missing datum by the number of
+    those tasks needing it and keeps its first such task.  Returns
+    ``(tasks, n_unreleased)``: the first tasks of the top-scoring data
+    (one datum when the top score is unique, else the candidates of the
+    random tie-break; empty when no task is two loads away) and the
+    number of such tasks the released filter skipped.
+    """
+    view = sched.view
+    graph = view.graph
+    held = view.held(gpu)
+    score, first, n_unreleased = {}, {}, 0
+    for t in sorted(sched._unowned):
+        missing = [x for x in graph.inputs_of(t) if x not in held]
+        if len(missing) != 2:
+            continue
+        if not view.is_released(t):
+            n_unreleased += 1
+            continue
+        for d in missing:
+            score[d] = score.get(d, 0) + 1
+            first.setdefault(d, t)
+    if not score:
+        return set(), n_unreleased
+    best = max(score.values())
+    return {first[d] for d in score if score[d] == best}, n_unreleased
+
+
 class _CheckedDarts(Darts):
     """DARTS that re-verifies its free-task index on every memory event
-    and every refill against :func:`reference_scan`."""
+    and every refill against :func:`reference_scan` and, for the 3inputs
+    fallback, :func:`reference_two_load`."""
+
+    #: fallback choices checked while the released filter skipped a task
+    filtered_fallbacks = 0
 
     def on_fetch_issued(self, gpu, data_id):
         super().on_fetch_issued(gpu, data_id)
@@ -152,11 +187,7 @@ class _CheckedDarts(Darts):
         held = self.view.held(gpu)
         n_max, candidates, scan_ops = reference_scan(self, gpu)
         n_unowned = len(self._unowned)
-        two_load = any(
-            self.view.is_released(t)
-            and sum(x not in held for x in graph.inputs_of(t)) == 2
-            for t in self._unowned
-        )
+        two_load, n_unreleased = reference_two_load(self, gpu)
         pending = self.consume_ops()
         task = super()._refill(gpu)
         ops = self.consume_ops()
@@ -173,6 +204,9 @@ class _CheckedDarts(Darts):
             expected = scan_ops + 1
             if self.three_inputs:
                 expected += n_unowned - (1 if two_load else 0)
+                if two_load:
+                    assert task in two_load, (task, two_load)
+                    self.filtered_fallbacks += n_unreleased > 0
             assert ops == expected
         return task
 
@@ -337,6 +371,25 @@ class TestSchedulerCachesMatchRecompute:
             seed=seed,
             dependencies=deps,
         )
+        executed = sorted(t for o in result.executed_order for t in o)
+        assert executed == list(range(graph.n_tasks))
+
+    @pytest.mark.parametrize("variant", ["3inputs", "opti-3inputs"])
+    def test_two_load_fallback_skips_unreleased(self, variant):
+        """On a Cholesky DAG the 3inputs fallback meets tasks two loads
+        away that are not yet released; it still chooses as the
+        from-scratch recomputation does."""
+        graph, deps = cholesky_dag(5, data_size=1.0)
+        sched = _CheckedDarts(**DARTS_VARIANTS[variant])
+        result = simulate(
+            graph,
+            toy_platform(n_gpus=2, memory=4.0, bandwidth=5.0),
+            sched,
+            window=2,
+            seed=0,
+            dependencies=deps,
+        )
+        assert sched.filtered_fallbacks > 0, "the released filter must run"
         executed = sorted(t for o in result.executed_order for t in o)
         assert executed == list(range(graph.n_tasks))
 
