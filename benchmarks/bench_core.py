@@ -24,7 +24,11 @@ pure-Python loop — to normalize: ``--check OLD.json`` compares
 ``e2e/calibration`` ratios and fails on a >``--tolerance`` regression,
 which is what the CI perf-smoke job runs against the committed file.
 An ``e2e`` group recorded in a separate session stores its own
-``calibration_s``, which ``--check`` uses for that group.
+``calibration_s``, which ``--check`` uses for that group.  ``--check``
+also fails when the static phases' output digests
+(``hfp_pack.packages_sha256``, ``partition.parts_sha256``) differ from
+the baseline's, so a speedup that changes packages or partitions does
+not pass as one.
 
 Usage::
 
@@ -247,13 +251,21 @@ def run_benchmarks(quick: bool) -> Dict[str, Any]:
     return report
 
 
+#: (report group, field) of the static phases' output digests
+STATIC_DIGESTS = (
+    ("hfp_pack", "packages_sha256"),
+    ("partition", "parts_sha256"),
+)
+
+
 def check_regression(
     report: Dict[str, Any], baseline_path: str, tolerance: float
 ) -> int:
     """Compare calibration-normalized e2e times against a previous run.
 
     Returns the number of regressed cells (>``tolerance`` slower after
-    normalizing out machine speed).
+    normalizing out machine speed) plus the number of static-phase
+    digests that differ from the baseline's.
     """
     with open(baseline_path) as fh:
         old = json.load(fh)
@@ -279,6 +291,12 @@ def check_regression(
                 f"  check {key} {scheduler}: normalized x{ratio:.2f} "
                 f"[{status}]"
             )
+    for group, field in STATIC_DIGESTS:
+        status = "ok"
+        if report[group][field] != old.get(group, {}).get(field):
+            status = "CHANGED"
+            failures += 1
+        print(f"  check {group}.{field}: [{status}]")
     return failures
 
 
@@ -294,7 +312,8 @@ def main(argv: Optional[list] = None) -> int:
         "--check",
         metavar="BASELINE",
         help="compare against a previous BENCH_core.json; non-zero exit "
-        "on a normalized e2e regression beyond --tolerance",
+        "on a normalized e2e regression beyond --tolerance or a changed "
+        "static-phase digest",
     )
     parser.add_argument(
         "--tolerance",
@@ -330,8 +349,9 @@ def main(argv: Optional[list] = None) -> int:
         failures = check_regression(report, args.check, args.tolerance)
         if failures:
             print(
-                f"ERROR: {failures} cell(s) regressed beyond "
-                f"{args.tolerance:.0%}",
+                f"ERROR: {failures} check(s) failed: a cell regressed "
+                f"beyond {args.tolerance:.0%} or a static-phase output "
+                "changed",
                 file=sys.stderr,
             )
             return 1

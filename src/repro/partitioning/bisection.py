@@ -3,7 +3,10 @@
 Follows the hMETIS recipe: coarsen by heavy-edge matching, partition the
 coarsest hypergraph greedily from a random seed, then uncoarsen while
 FM-refining at every level.  Each bisection is restarted ``nruns`` times
-(the paper sets hMETIS's Nruns to 20) keeping the best cut.  K-way
+(the paper sets hMETIS's Nruns to 20) keeping the best cut.  FM has no
+randomness, so a restart that reaches a (level, side) an earlier restart
+of the same bisection already refined stops there: it could only repeat
+that restart's side and cut, and the first of equal cuts is kept.  K-way
 partitions are produced by recursive bisection with proportional targets,
 so K need not be a power of two.
 """
@@ -11,7 +14,7 @@ so K need not be a power of two.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.partitioning.coarsen import coarsen_to
 from repro.partitioning.fm import bisection_cut, fm_refine
@@ -75,18 +78,29 @@ def multilevel_bisect(
     levels, maps = coarsen_to(h, coarse_size, rng)
     best_side: Optional[List[int]] = None
     best_cut = float("inf")
-    coarsest = levels[-1]
+    top = len(levels) - 1
+    # (level, side about to be refined there) of every earlier restart
+    refined: Set[Tuple[int, bytes]] = set()
     for _ in range(max(1, nruns)):
-        side = _greedy_initial(coarsest, target0, rng)
-        side = fm_refine(coarsest, side, target0, tolerance)
-        # project back up, refining at each level
-        for lvl in range(len(levels) - 2, -1, -1):
-            cmap = maps[lvl]
-            fine = [side[cmap[v]] for v in range(levels[lvl].n)]
-            side = fm_refine(levels[lvl], fine, target0, tolerance)
-        cut = bisection_cut(h, side)
-        if cut < best_cut:
-            best_cut, best_side = cut, side
+        # drawn even for a repeated start: the rng stream is shared with
+        # coarsening and the later bisections
+        side = _greedy_initial(levels[top], target0, rng)
+        for lvl in range(top, -1, -1):
+            if lvl < top:  # project one level down
+                cmap = maps[lvl]
+                side = [side[cmap[v]] for v in range(levels[lvl].n)]
+            key = (lvl, bytes(side))
+            if key in refined:
+                # FM is deterministic, so the rest of this restart
+                # repeats an earlier one: same side, same cut, and
+                # ``cut < best_cut`` takes no tie
+                break
+            refined.add(key)
+            side = fm_refine(levels[lvl], side, target0, tolerance)
+        else:
+            cut = bisection_cut(h, side)
+            if cut < best_cut:
+                best_cut, best_side = cut, side
     assert best_side is not None
     return best_side, best_cut
 

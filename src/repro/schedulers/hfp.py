@@ -51,7 +51,6 @@ class _Packages:
         self.footprint: List[Set[int]] = []
         self.bytes: List[float] = []
         self.load: List[float] = []
-        self.version: List[int] = [0] * n
         # datum -> set of active package ids whose footprint holds it
         self.pkgs_of: List[Set[int]] = [set() for _ in range(graph.n_data)]
         self.sizes = sizes
@@ -89,8 +88,12 @@ class _Packages:
     def union_bytes(self, a: int, b: int, shared: float) -> float:
         return self.bytes[a] + self.bytes[b] - shared
 
-    def merge(self, a: int, b: int) -> int:
-        """Absorb package ``b`` into ``a`` (list concatenation)."""
+    def merge(self, a: int, b: int) -> List[int]:
+        """Absorb package ``b`` into ``a`` (list concatenation).
+
+        Returns ``a``'s partners whose shared weight grew or that are
+        new to ``a``; every other partner's weight is unchanged.
+        """
         tasks_a = self.tasks[a]
         tasks_b = self.tasks[b]
         assert tasks_a is not None and tasks_b is not None
@@ -103,6 +106,7 @@ class _Packages:
                 nbr[q].pop(b, None)
         fp_a = self.footprint[a]
         nbr_a = nbr[a]
+        grown: Dict[int, None] = {}
         for d in self.footprint[b]:
             self.pkgs_of[d].discard(b)
             if d not in fp_a:
@@ -111,22 +115,23 @@ class _Packages:
                 self.bytes[a] += sz
                 for q in self.pkgs_of[d]:
                     if q != a:
+                        if sz > 0 or q not in nbr_a:
+                            grown[q] = None
                         nbr_a[q] = nbr_a.get(q, 0.0) + sz
                         nbr_q = nbr[q]
                         nbr_q[a] = nbr_q.get(a, 0.0) + sz
                 self.pkgs_of[d].add(a)
         self.load[a] += self.load[b]
         self.ntasks[a] += self.ntasks[b]
-        self.version[a] += 1
         self.tasks[b] = None
         self.footprint[b] = set()
         nbr[b] = {}
         self.n_active -= 1
-        return a
+        return list(grown)
 
 
-#: (-shared bytes, task count, a, b, version of a, version of b), a < b
-_Entry = Tuple[float, int, int, int, int, int]
+#: (-shared bytes, task count, a, b), a < b
+_Entry = Tuple[float, int, int, int]
 
 
 def _pair_entries(
@@ -138,12 +143,11 @@ def _pair_entries(
     """Heap entries pairing ``pid`` with each ``(q, w)`` of ``partners``.
 
     A pair whose union footprint exceeds ``memory_bound`` is left out:
-    its key and byte counts stay as they are until ``a`` or ``b`` merges,
-    which makes the entry stale, so it could only ever be popped and
-    discarded.  ``w <= 0`` entries are always kept, because popping one
-    ends the round.
+    footprints only grow, so it never fits again unless its shared
+    weight grows, and then ``merge`` reports it for a fresh entry.
+    ``w <= 0`` entries are always kept, because popping one ends the
+    round.
     """
-    version = pk.version
     ntasks = pk.ntasks
     for q, w in partners:
         a, b = (pid, q) if pid < q else (q, pid)
@@ -153,7 +157,7 @@ def _pair_entries(
             and pk.union_bytes(a, b, w) > memory_bound
         ):
             continue
-        yield (-w, ntasks[a] + ntasks[b], a, b, version[a], version[b])
+        yield (-w, ntasks[a] + ntasks[b], a, b)
 
 
 def _merge_round(
@@ -165,8 +169,18 @@ def _merge_round(
 
     ``memory_bound`` restricts merges to packages whose combined input
     footprint fits (phase 1); ``None`` lifts the restriction (phase 2).
-    Over-bound pairs never enter the heap (see ``_pair_entries``), so
-    every live entry popped is a feasible merge.
+
+    Entries are re-keyed lazily.  A pair's shared weight ``w`` and task
+    count only grow, so an entry whose ``w`` is still current is a lower
+    bound on the pair's key; ``merge`` names the partners whose ``w``
+    grew, and only those get fresh entries.  A popped entry is checked
+    against the pair's current key: if equal, no entry in the heap can
+    beat it and the pair merges — the pair the eager scheme (a fresh
+    entry for every neighbour after each merge) would merge; if only
+    the task count grew, it is pushed back with the current key unless
+    the pair no longer fits (union footprints only grow, so it never
+    will again); if ``w`` grew, a fresher entry exists and it is
+    dropped.
     """
     # one entry per pair, built in bulk
     heap: List[_Entry] = [
@@ -180,40 +194,28 @@ def _merge_round(
         )
     ]
     heapq.heapify(heap)
-    # Stale entries (merged-away package or outdated version) are
-    # skipped on pop; when they dominate the heap, filter them out in
-    # one pass and re-heapify.  Live entries keep their exact keys, so
-    # the pop order — and hence every merge decision — is unchanged
-    # (a stale ``w <= 0`` pop breaks the loop just like the live or
-    # stale ``w <= 0`` entry that follows it would).
-    compact_at = max(4096, 2 * len(heap))
+    tasks = pk.tasks
+    nbr = pk.nbr
+    ntasks = pk.ntasks
     while heap and pk.n_active > stop_at:
-        neg_w, _, a, b, va, vb = heapq.heappop(heap)
-        w = -neg_w
-        if w <= 0:
+        neg_w, count, a, b = heapq.heappop(heap)
+        if neg_w >= 0:  # no live pair shares anything any more
             break
-        if pk.tasks[a] is None or pk.tasks[b] is None:
+        if tasks[a] is None or tasks[b] is None:
             continue
-        if pk.version[a] != va or pk.version[b] != vb:
-            continue  # stale entry; fresh ones were pushed at merge time
-        merged = pk.merge(a, b)
+        w = nbr[a][b]
+        if -w != neg_w:
+            continue  # w grew: that merge pushed a fresh entry if it fit
+        count_now = ntasks[a] + ntasks[b]
+        if count_now != count:  # a lower bound: re-key it
+            if memory_bound is None or pk.union_bytes(a, b, w) <= memory_bound:
+                heapq.heappush(heap, (neg_w, count_now, a, b))
+            continue
+        nbr_a = nbr[a]
         for entry in _pair_entries(
-            pk, merged, memory_bound, pk.nbr[merged].items()
+            pk, a, memory_bound, ((q, nbr_a[q]) for q in pk.merge(a, b))
         ):
             heapq.heappush(heap, entry)
-        if len(heap) > compact_at:
-            tasks = pk.tasks
-            version = pk.version
-            heap = [
-                item
-                for item in heap
-                if tasks[item[2]] is not None
-                and tasks[item[3]] is not None
-                and version[item[2]] == item[4]
-                and version[item[3]] == item[5]
-            ]
-            heapq.heapify(heap)
-            compact_at = max(4096, 2 * len(heap))
 
 
 def hfp_pack(

@@ -108,13 +108,18 @@ DAG_PINS = {
 #: recorded before FM kept one heap per vertex class and HFP left
 #: over-bound pairs out of its heap.  ``PARTITION_PINS``:
 #: ``partition_tasks(graph, K, rng=Random(0)).parts`` on uniform (fig8)
-#: and heterogeneous (fig11, several FM classes) vertex weights.
+#: and heterogeneous (fig11, several FM classes) vertex weights; fig8
+#: n=36, recorded before bisection skipped restarts that repeat an
+#: earlier one, has a restart that stops below the coarsest level.
 #: ``PACK_PINS``: ``balance_packages(hfp_pack(graph, memory, K))`` at the
 #: figure's per-GPU memory; fig3 n=20 reaches phase 2, fig12's sparse
 #: n=70 graph reaches the fold of disconnected leftovers.
 PARTITION_PINS = {
     ("fig8", 30, 4): (
         "c36de00439622f504c363b9edd9ef053f6ca13d5c8cfd66336bef8dbf4aedbbd"
+    ),
+    ("fig8", 36, 4): (
+        "74a504d38326e537c3c716c421df8ec36d90e403e66c435fb35fe7fa825271a0"
     ),
     ("fig11", 14, 4): (
         "ef7e34b8dedef97573cacd5910de0ea1bec364fd6bea6d9343d02bb99b46412e"

@@ -3,9 +3,14 @@
 These are verbatim copies of ``repro.partitioning.fm._fm_pass`` and
 ``repro.schedulers.hfp._merge_round`` (with its ``_push_pairs``) from
 before FM kept one heap per vertex class and HFP pruned over-bound
-pairs at push time.  The old loops pop every candidate from one heap:
-FM defers each inadmissible vertex and re-pushes it after every move,
-and HFP pushes every pair twice and tests the memory bound at pop time.
+pairs at push time, and of ``repro.partitioning.bisection``'s
+``multilevel_bisect`` from before it skipped restarts that repeat an
+earlier one.  The old loops pop every candidate from one heap: FM
+defers each inadmissible vertex and re-pushes it after every move, and
+HFP pushes every pair twice, re-keys every neighbour of a merged
+package through a per-package version and tests the memory bound at
+pop time (the version list, once a ``_Packages`` field, is kept here).
+The old bisection runs every restart to the finest level.
 ``test_static_phase_equivalence`` asserts the shipped loops produce the
 same output.  Nothing under ``src`` imports this module.
 """
@@ -13,11 +18,50 @@ same output.  Nothing under ``src`` imports this module.
 from __future__ import annotations
 
 import heapq
+import random
 from typing import List, Optional, Tuple
 
-from repro.partitioning.fm import _gain, _net_counts
+from repro.partitioning import bisection
+from repro.partitioning.fm import _gain, _net_counts, bisection_cut, fm_refine
 from repro.partitioning.hypergraph import Hypergraph
 from repro.schedulers.hfp import _Packages
+
+
+def multilevel_bisect_oracle(
+    h: Hypergraph,
+    target0_frac: float = 0.5,
+    ubfactor: float = 1.0,
+    nruns: int = 10,
+    rng: Optional[random.Random] = None,
+    coarse_size: int = 60,
+) -> Tuple[List[int], float]:
+    if rng is None:
+        rng = random.Random(0)
+    total = h.total_vertex_weight
+    target0 = target0_frac * total
+    tolerance = max(
+        ubfactor / 100.0 * total,
+        max(h.vwgt, default=0.0) * 0.5 + 1e-12,
+    )
+
+    # looked up on the module so that a test's stand-in chain reaches both
+    levels, maps = bisection.coarsen_to(h, coarse_size, rng)
+    best_side: Optional[List[int]] = None
+    best_cut = float("inf")
+    coarsest = levels[-1]
+    for _ in range(max(1, nruns)):
+        side = bisection._greedy_initial(coarsest, target0, rng)
+        side = fm_refine(coarsest, side, target0, tolerance)
+        # project back up, refining at each level
+        for lvl in range(len(levels) - 2, -1, -1):
+            cmap = maps[lvl]
+            fine = [side[cmap[v]] for v in range(levels[lvl].n)]
+            side = fm_refine(levels[lvl], fine, target0, tolerance)
+        cut = bisection_cut(h, side)
+        if cut < best_cut:
+            best_cut, best_side = cut, side
+    assert best_side is not None
+    return best_side, best_cut
 
 
 def fm_pass_oracle(
@@ -135,9 +179,8 @@ def fm_pass_oracle(
     return improved, side
 
 
-def push_pairs_oracle(heap, pk: _Packages, pid: int) -> None:
+def push_pairs_oracle(heap, pk: _Packages, version: List[int], pid: int) -> None:
     """Push fresh heap entries for ``pid`` against all its neighbours."""
-    version = pk.version
     ntasks = pk.ntasks
     push = heapq.heappush
     nt_pid = ntasks[pid]
@@ -159,9 +202,11 @@ def merge_round_oracle(
     ``memory_bound`` restricts merges to packages whose combined input
     footprint fits (phase 1); ``None`` lifts the restriction (phase 2).
     """
+    # per-package merge count, bumped on every merge
+    version = [0] * len(pk.tasks)
     heap: List[Tuple[float, int, int, int, int, int]] = []
     for pid in pk.active_ids():
-        push_pairs_oracle(heap, pk, pid)
+        push_pairs_oracle(heap, pk, version, pid)
     # Stale entries (merged-away package or outdated version) are
     # skipped on pop; when they dominate the heap, filter them out in
     # one pass and re-heapify.  Live entries keep their exact keys, so
@@ -176,15 +221,15 @@ def merge_round_oracle(
             break
         if pk.tasks[a] is None or pk.tasks[b] is None:
             continue
-        if pk.version[a] != va or pk.version[b] != vb:
+        if version[a] != va or version[b] != vb:
             continue  # stale entry; fresh ones were pushed at merge time
         if memory_bound is not None and pk.union_bytes(a, b, w) > memory_bound:
             continue
-        merged = pk.merge(a, b)
-        push_pairs_oracle(heap, pk, merged)
+        pk.merge(a, b)
+        version[a] += 1
+        push_pairs_oracle(heap, pk, version, a)
         if len(heap) > compact_at:
             tasks = pk.tasks
-            version = pk.version
             heap = [
                 item
                 for item in heap
