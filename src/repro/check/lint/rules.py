@@ -31,6 +31,7 @@ scheduling decision silently breaks bit-identical replay.
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
@@ -663,10 +664,12 @@ class DeviceListCacheRule(Rule):
     routing work to the dead device unless the class participates in
     the recovery protocol.  Any class in ``repro.schedulers`` with a
     method that both reads ``n_gpus`` and stores state on ``self`` must
-    therefore define ``on_device_lost`` in its own body (or
-    ``drop_gpu``, the equivalent contract for shared ready-list
-    containers).  Inheriting the base class's raising default does not
-    count — that is precisely the unhandled case.
+    therefore define ``on_device_lost`` (or ``drop_gpu``, the equivalent
+    contract for shared ready-list containers) in its own body, or
+    inherit one from a base that does: a class of the same module, or
+    one imported from a ``repro.schedulers`` module.  Inheriting the
+    :class:`Scheduler` base's raising default does not count — that is
+    precisely the unhandled case.
     """
 
     code = "API004"
@@ -707,18 +710,48 @@ class DeviceListCacheRule(Rule):
                 return target
         return None
 
+    def _hooked(self, tree: ast.Module) -> Set[str]:
+        """Names of the classes in ``tree`` that define or inherit a hook,
+        the :class:`Scheduler` base's raising default aside."""
+        from repro.schedulers.base import Scheduler
+
+        hooked: Set[str] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                if not self._applies(module):
+                    continue
+                for alias in node.names:
+                    try:  # an unimportable base proves nothing
+                        imported = importlib.import_module(module)
+                        mro = getattr(imported, alias.name).__mro__
+                    except (ImportError, AttributeError):
+                        continue
+                    if any(
+                        self._HOOKS & set(vars(c))
+                        for c in mro
+                        if c is not Scheduler
+                    ):
+                        hooked.add(alias.asname or alias.name)
+            elif isinstance(node, ast.ClassDef):
+                defined = {
+                    stmt.name
+                    for stmt in node.body
+                    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+                }
+                if defined & self._HOOKS or any(
+                    isinstance(b, ast.Name) and b.id in hooked
+                    for b in node.bases
+                ):
+                    hooked.add(node.name)
+        return hooked
+
     def check_module(self, ctx: ModuleContext) -> Iterator[LintViolation]:
         if not self._applies(ctx.module):
             return
+        hooked = self._hooked(ctx.tree)
         for cls in ast.walk(ctx.tree):
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            defined = {
-                stmt.name
-                for stmt in cls.body
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-            }
-            if defined & self._HOOKS:
+            if not isinstance(cls, ast.ClassDef) or cls.name in hooked:
                 continue
             for meth in cls.body:
                 if not isinstance(
@@ -739,9 +772,10 @@ class DeviceListCacheRule(Rule):
                         ctx,
                         store,
                         f"{cls.name}.{meth.name} sizes state on self from "
-                        f"n_gpus, but {cls.name} defines neither "
-                        "on_device_lost nor drop_gpu; the cached device "
-                        "list goes stale after an injected GPU failure",
+                        f"n_gpus, but {cls.name} neither defines nor "
+                        "inherits on_device_lost or drop_gpu; the cached "
+                        "device list goes stale after an injected GPU "
+                        "failure",
                     )
 
 

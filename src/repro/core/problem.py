@@ -95,9 +95,13 @@ class TaskGraph:
     # construction
     # ------------------------------------------------------------------
     def add_data(self, size: float, name: str = "") -> Data:
-        """Create a new datum of ``size`` bytes and return it."""
+        """Create a new datum of ``size`` (whole) bytes and return it."""
         if size <= 0:
             raise ValueError(f"data size must be positive, got {size}")
+        if not float(size).is_integer():
+            raise ValueError(
+                f"data size must be a whole number of bytes, got {size}"
+            )
         d = Data(id=len(self.data), size=float(size), name=name)
         self.data.append(d)
         self._users.append([])

@@ -10,7 +10,10 @@
   with the LUF eviction policy (Algorithm 6) and the 3inputs / OPTI /
   threshold variants;
 * :class:`FixedSchedule` — replay a precomputed :class:`repro.core.Schedule`
-  through the simulator (used by tests and ablations).
+  through the simulator, in order (used by tests and ablations).
+
+DMDA(R), hMETIS+R, mHFP and FixedSchedule define only their static
+phase; :class:`repro.schedulers.ready.ListScheduler` runs their lists.
 
 :func:`make_scheduler` builds any of them from the names used in the
 paper's plots (``"eager"``, ``"dmdar"``, ``"hmetis+r"``, ``"mhfp"``,

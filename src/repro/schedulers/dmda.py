@@ -10,27 +10,28 @@ the allocation phase has already planned onto GPU ``k`` (the prediction
 does not model evictions, exactly like StarPU's performance-model-based
 allocation).
 
-DMDAR additionally applies the Ready strategy (Algorithm 2) at runtime:
-within its local queue, a GPU always starts the task whose inputs need
-the fewest bytes transferred given current memory content.
+DMDA pops each GPU's list in order.  DMDAR additionally applies the
+Ready strategy (Algorithm 2) at runtime: within its local queue, a GPU
+always starts the task whose inputs need the fewest bytes transferred
+given current memory content.  Neither steals.  Both run on
+:class:`repro.schedulers.ready.ListScheduler`; this module holds only
+the allocation phase.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set
+from typing import List, Set
 
-from repro.schedulers.base import Scheduler
-from repro.schedulers.ready import ReadyLists
+from repro.schedulers.ready import ListScheduler
 
 
-class Dmda(Scheduler):
+class Dmda(ListScheduler):
     """Deque Model Data Aware (no runtime reordering)."""
 
     name = "DMDA"
     use_ready = False
 
-    def prepare(self, view) -> None:
-        super().prepare(view)
+    def allocate(self, view) -> List[List[int]]:
         graph = view.graph
         k_gpus = view.n_gpus
         bandwidth = view.bus_bandwidth()
@@ -38,7 +39,7 @@ class Dmda(Scheduler):
 
         avail = [0.0] * k_gpus
         inmem: List[Set[int]] = [set() for _ in range(k_gpus)]
-        self._lists = ReadyLists(k_gpus)
+        lists: List[List[int]] = [[] for _ in range(k_gpus)]
 
         for task in graph.tasks:
             best_k = 0
@@ -57,33 +58,8 @@ class Dmda(Scheduler):
                     best_c, best_k = c, k
             avail[best_k] = best_c
             inmem[best_k].update(task.inputs)
-            self._lists.assign(best_k, [task.id])
-        if self.use_ready:
-            self._lists.enable_incremental(view)
-
-    def on_fetch_issued(self, gpu: int, data_id: int) -> None:
-        self._lists.on_fetch_issued(gpu, data_id)
-
-    def on_data_evicted(self, gpu: int, data_id: int) -> None:
-        self._lists.on_data_evicted(gpu, data_id)
-
-    def on_device_lost(self, gpu: int, requeued: Sequence[int]) -> None:
-        self._lists.drop_gpu(gpu, requeued)
-
-    def next_task(self, gpu: int) -> Optional[int]:
-        if self.use_ready:
-            task = self._lists.pop_ready(gpu, self.view)
-            self.charge_ops(self._lists.last_scanned)
-            return task
-        self.charge_ops(1)
-        return self._lists.pop_fifo(gpu, self.view)
-
-    def remaining_order(self, gpu: int) -> Sequence[int]:
-        return tuple(self._lists.remaining(gpu))
-
-    def allocation(self) -> List[List[int]]:
-        """The per-GPU allocation computed by prepare (for tests)."""
-        return [list(l) for l in self._lists.lists]
+            lists[best_k].append(task.id)
+        return lists
 
 
 class Dmdar(Dmda):

@@ -3,67 +3,33 @@
 Bridges the analytic model and the discrete-event simulator: any static
 σ (brute-force optimal, hand-written, or produced by packing/partitioning
 outside a runtime) can be executed with timing, bus contention and a real
-eviction policy.  Optionally applies Ready reordering and task stealing
-on top, which is how the static halves of mHFP/hMETIS+R behave at runtime.
+eviction policy.  The replay is pure: each GPU runs its list in order,
+without Ready reordering or stealing (sanitizer rule SAN006 checks the
+executed order).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List
 
 from repro.core.schedule import Schedule
-from repro.schedulers.base import Scheduler
-from repro.schedulers.ready import ReadyLists
+from repro.schedulers.ready import ListScheduler
 
 
-class FixedSchedule(Scheduler):
-    """Execute the given per-GPU task lists as-is (or with Ready/steal)."""
+class FixedSchedule(ListScheduler):
+    """Execute the given per-GPU task lists as-is."""
 
     name = "FIXED"
+    use_ready = False
 
-    def __init__(
-        self,
-        schedule: Schedule,
-        use_ready: bool = False,
-        use_stealing: bool = False,
-    ) -> None:
+    def __init__(self, schedule: Schedule) -> None:
         super().__init__()
         self.schedule = schedule
-        self.use_ready = use_ready
-        self.use_stealing = use_stealing
-        if use_ready or use_stealing:
-            suffix = "+R" if use_ready else ""
-            suffix += "+steal" if use_stealing else ""
-            self.name = f"FIXED{suffix}"
 
-    def prepare(self, view) -> None:
-        super().prepare(view)
+    def allocate(self, view) -> List[List[int]]:
         if self.schedule.n_gpus != view.n_gpus:
             raise ValueError(
                 f"schedule targets {self.schedule.n_gpus} GPUs but the "
                 f"platform has {view.n_gpus}"
             )
-        self._lists = ReadyLists(view.n_gpus)
-        for k, order in enumerate(self.schedule.order):
-            self._lists.assign(k, order)
-
-    def on_device_lost(self, gpu: int, requeued: Sequence[int]) -> None:
-        self._lists.drop_gpu(gpu, requeued)
-
-    def next_task(self, gpu: int) -> Optional[int]:
-        while True:
-            if self.use_ready:
-                task = self._lists.pop_ready(gpu, self.view)
-                self.charge_ops(self._lists.last_scanned)
-            else:
-                task = self._lists.pop_fifo(gpu, self.view)
-                self.charge_ops(1)
-            if task is not None:
-                return task
-            if self._lists.remaining(gpu):
-                return None  # blocked on dependencies, not out of work
-            if not (self.use_stealing and self._lists.steal_half(gpu)):
-                return None
-
-    def remaining_order(self, gpu: int) -> Sequence[int]:
-        return tuple(self._lists.remaining(gpu))
+        return self.schedule.order

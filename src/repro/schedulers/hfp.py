@@ -11,7 +11,8 @@ preserves intra-package locality.
 mHFP stops the second phase at K packages (one per GPU), balances package
 loads by moving tasks from the tail of the heaviest package to the
 lightest (the paper notes more communication slack near a package's end),
-and at runtime adds Ready reordering and task stealing.
+and at runtime adds Ready reordering and task stealing
+(:class:`repro.schedulers.ready.ListScheduler`).
 
 The packing is deliberately *expensive* — a point the paper makes: mHFP's
 scheduling time grows quickly with the task count and dominates its
@@ -22,11 +23,10 @@ benefit (Figs 3, 5).  Its wall-clock cost here is measured and charged to
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core.problem import TaskGraph
-from repro.schedulers.base import Scheduler
-from repro.schedulers.ready import ReadyLists
+from repro.schedulers.ready import ListScheduler
 
 
 class _Packages:
@@ -37,8 +37,8 @@ class _Packages:
     instead of recomputed from ``pkgs_of`` per push round: absorbing
     ``b`` into ``a`` detaches ``b`` everywhere and, for each datum new
     to ``a``'s footprint, adds its size to the weights with every other
-    package holding it.  With integer-valued sizes (every shipped
-    workload) the running float sums are exact, hence bit-equal to a
+    package holding it.  ``TaskGraph.add_data`` enforces whole-byte
+    sizes, so the running float sums are exact, hence bit-equal to a
     fresh recomputation in any order.
     """
 
@@ -292,57 +292,16 @@ def balance_packages(
     return packages
 
 
-class Mhfp(Scheduler):
+class Mhfp(ListScheduler):
     """multi-GPU Hierarchical Fair Packing (paper Algorithm 4)."""
 
     name = "mHFP"
+    use_stealing = True
 
-    def __init__(self, use_ready: bool = True, use_stealing: bool = True) -> None:
-        super().__init__()
-        self.use_ready = use_ready
-        self.use_stealing = use_stealing
-
-    def prepare(self, view) -> None:
-        super().prepare(view)
+    def allocate(self, view) -> List[List[int]]:
         memory = min(g.memory_bytes for g in view.platform.gpus)
         packages = hfp_pack(view.graph, memory, view.n_gpus)
-        packages = balance_packages(packages, view.graph)
-        self._lists = ReadyLists(view.n_gpus)
-        for k, p in enumerate(packages):
-            self._lists.assign(k, p)
-        if self.use_ready:
-            self._lists.enable_incremental(view)
-
-    def on_fetch_issued(self, gpu: int, data_id: int) -> None:
-        self._lists.on_fetch_issued(gpu, data_id)
-
-    def on_data_evicted(self, gpu: int, data_id: int) -> None:
-        self._lists.on_data_evicted(gpu, data_id)
-
-    def on_device_lost(self, gpu: int, requeued: Sequence[int]) -> None:
-        self._lists.drop_gpu(gpu, requeued)
-
-    def next_task(self, gpu: int) -> Optional[int]:
-        while True:
-            if self.use_ready:
-                task = self._lists.pop_ready(gpu, self.view)
-                self.charge_ops(self._lists.last_scanned)
-            else:
-                task = self._lists.pop_fifo(gpu, self.view)
-                self.charge_ops(1)
-            if task is not None:
-                return task
-            if self._lists.remaining(gpu):
-                return None  # blocked on dependencies, not out of work
-            if not (self.use_stealing and self._lists.steal_half(gpu)):
-                return None
-
-    def remaining_order(self, gpu: int) -> Sequence[int]:
-        return tuple(self._lists.remaining(gpu))
-
-    def packages(self) -> List[List[int]]:
-        """The balanced packages (before any runtime stealing); for tests."""
-        return [list(l) for l in self._lists.lists]
+        return balance_packages(packages, view.graph)
 
 
 class Hfp(Mhfp):

@@ -3,9 +3,10 @@
 The static phase builds a hyperedge per datum over its reader tasks and
 partitions the tasks into K balanced parts with minimal shared data
 (our from-scratch multilevel partitioner standing in for hMETIS, same
-UBfactor/Nruns knobs).  At runtime each GPU pops from its own part with
-Ready reordering; an idle GPU steals half of the most loaded GPU's
-remaining tasks from the tail.
+UBfactor/Nruns knobs).  At runtime
+(:class:`repro.schedulers.ready.ListScheduler`) each GPU pops from its
+own part with Ready reordering; an idle GPU steals half of the most
+loaded GPU's remaining tasks from the tail.
 
 The partitioning wall-clock time is charged to ``scheduling_time``,
 reproducing the paper's pair of curves ("hMETIS+R" vs "hMETIS+R no
@@ -15,36 +16,26 @@ part. time").
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence
+from typing import List, Optional
 
 from repro.partitioning.interface import PartitionResult, partition_tasks
-from repro.schedulers.base import Scheduler
-from repro.schedulers.ready import ReadyLists
+from repro.schedulers.ready import ListScheduler
 
 
-class HmetisR(Scheduler):
+class HmetisR(ListScheduler):
     """Algorithm 3: hypergraph partition + stealing + Ready."""
 
     name = "hMETIS+R"
+    use_stealing = True
 
-    def __init__(
-        self,
-        ubfactor: float = 1.0,
-        nruns: int = 10,
-        use_ready: bool = True,
-        use_stealing: bool = True,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, ubfactor: float = 1.0, nruns: int = 10, seed: int = 0) -> None:
         super().__init__()
         self.ubfactor = ubfactor
         self.nruns = nruns
-        self.use_ready = use_ready
-        self.use_stealing = use_stealing
         self.seed = seed
         self.partition: Optional[PartitionResult] = None
 
-    def prepare(self, view) -> None:
-        super().prepare(view)
+    def allocate(self, view) -> List[List[int]]:
         self.partition = partition_tasks(
             view.graph,
             view.n_gpus,
@@ -52,35 +43,4 @@ class HmetisR(Scheduler):
             nruns=self.nruns,
             rng=random.Random(self.seed),
         )
-        self._lists = ReadyLists(view.n_gpus)
-        for k, part in enumerate(self.partition.parts):
-            self._lists.assign(k, part)
-        if self.use_ready:
-            self._lists.enable_incremental(view)
-
-    def on_fetch_issued(self, gpu: int, data_id: int) -> None:
-        self._lists.on_fetch_issued(gpu, data_id)
-
-    def on_data_evicted(self, gpu: int, data_id: int) -> None:
-        self._lists.on_data_evicted(gpu, data_id)
-
-    def on_device_lost(self, gpu: int, requeued: Sequence[int]) -> None:
-        self._lists.drop_gpu(gpu, requeued)
-
-    def next_task(self, gpu: int) -> Optional[int]:
-        while True:
-            if self.use_ready:
-                task = self._lists.pop_ready(gpu, self.view)
-                self.charge_ops(self._lists.last_scanned)
-            else:
-                task = self._lists.pop_fifo(gpu, self.view)
-                self.charge_ops(1)
-            if task is not None:
-                return task
-            if self._lists.remaining(gpu):
-                return None  # blocked on dependencies, not out of work
-            if not (self.use_stealing and self._lists.steal_half(gpu)):
-                return None
-
-    def remaining_order(self, gpu: int) -> Sequence[int]:
-        return tuple(self._lists.remaining(gpu))
+        return self.partition.parts

@@ -1,57 +1,54 @@
-"""The Ready reordering heuristic (paper Algorithm 2).
+"""Ready reordering (paper Algorithm 2) and the list schedulers' runtime.
 
-Given a list of tasks already allocated to a GPU, repeatedly start the
-task *requiring the fewest data transfers* given what the GPU memory
-currently holds (resident or already being fetched).  Shared by DMDAR,
-hMETIS+R and mHFP.
+Given a list of tasks already allocated to a GPU, Ready repeatedly
+starts the task *requiring the fewest data transfers* given what the GPU
+memory currently holds (resident or already being fetched).
+:class:`ListScheduler` is the runtime half of DMDA(R), hMETIS+R, mHFP
+and FixedSchedule, which differ only in how they build the lists.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+
+from repro.schedulers.base import Scheduler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulator.runtime import RuntimeView
 
 
 class ReadyLists:
-    """Per-GPU task lists with Ready-order popping.
+    """Per-GPU task lists, popped in list order or with Ready.
 
-    ``last_scanned`` exposes how many queue entries the linear scan of
-    :meth:`pop_ready` examines, so schedulers can charge decision
-    operations to the runtime's virtual scheduler clock.
-
-    :meth:`enable_incremental` replaces that scan, which sums
-    ``missing_bytes`` afresh per (scan, task), with per-GPU buckets: a
-    cached missing-bytes array per GPU, updated on the owner
-    scheduler's ``on_fetch_issued`` / ``on_data_evicted`` hooks, and a
-    min-heap of ``(missing_bytes, seq, task)`` entries.  Every task
-    entering a list takes the next ``seq`` of a global counter, and
-    lists only ever append, so ``seq`` order is list order and the
-    least live entry is the scan's choice.  An entry is live while its
-    task is still in that list under that ``seq`` with that value.
-    ``on_fetch_issued`` pushes an entry for each listed user whose value
-    falls; a rise pushes nothing, since the old entry then sits below
-    the value and is re-filed at the current one when it surfaces.  So
-    every listed task keeps an entry at or below its value, and stale
-    entries are dropped as they surface.  ``last_scanned`` is charged
-    as the scan would have counted it: up to the chosen task when it
-    misses nothing, otherwise the whole list.  The cache is only
-    enabled when the values are provably bit-equal to the fresh sums:
-    integer-valued sizes (float adds/subtracts of integers far below
-    2**53 are exact in any order).  ``check_incremental`` asserts
-    equality with a recomputation (property tests).
+    :meth:`enable_incremental` builds Ready's per-GPU buckets: a cached
+    missing-bytes array, updated on the owner scheduler's
+    ``on_fetch_issued`` / ``on_data_evicted`` hooks, and a min-heap of
+    ``(missing_bytes, seq, task)`` entries.  Every task entering a list
+    takes the next ``seq`` of a global counter, and lists only ever
+    append, so ``seq`` order is list order and the least live entry is
+    Ready's choice.  An entry is live while its task is still in that
+    list under that ``seq`` with that value.  ``on_fetch_issued`` pushes
+    an entry for each listed user whose value falls; a rise pushes
+    nothing, since the old entry then sits below the value and is
+    re-filed at the current one when it surfaces.  So every listed task
+    keeps an entry at or below its value, and stale entries are dropped
+    as they surface.  ``last_scanned`` is what Algorithm 2's in-order
+    scan would have examined (up to the chosen task when it misses
+    nothing, otherwise the whole list), charged as decision operations.
+    Sizes are whole bytes (``TaskGraph.add_data`` enforces it), so the
+    cached float sums are exact in any order; ``check_incremental``
+    asserts equality with a recomputation (property tests).
     """
 
     def __init__(self, n_gpus: int) -> None:
         self.lists: List[List[int]] = [[] for _ in range(n_gpus)]
         self.last_scanned = 0
-        #: per-GPU missing-bytes per task; None → fresh sums
+        #: per-GPU missing-bytes per task; None without buckets
         self._mb: Optional[List[List[float]]] = None
         self._graph = None
         self._sizes: List[float] = []
-        #: per-GPU heaps of (missing_bytes, seq, task), with the cache on
+        #: per-GPU heaps of (missing_bytes, seq, task), with the buckets on
         self._heaps: List[List[Tuple[float, int, int]]] = []
         #: per task: seq and GPU of its list entry, -1 when in no list
         self._seq: List[int] = []
@@ -60,12 +57,11 @@ class ReadyLists:
         #: GPUs removed from the device set by :meth:`drop_gpu`
         self._dead: Set[int] = set()
 
-    def enable_incremental(self, view: "RuntimeView") -> bool:
-        """Build the missing-bytes cache; False when ineligible."""
+    def enable_incremental(self, view: "RuntimeView") -> None:
+        """Build the buckets :meth:`pop_ready` pops from (lists empty)."""
+        assert not any(self.lists), "enable the buckets before assign"
         graph = view.graph
         sizes = [d.size for d in graph.data]
-        if any(s != int(s) for s in sizes):
-            return False  # exactness not guaranteed for fractional sizes
         self._graph = graph
         self._sizes = sizes
         every = [
@@ -82,15 +78,10 @@ class ReadyLists:
         self._seq = [-1] * graph.n_tasks
         self._where = [-1] * graph.n_tasks
         self._heaps = [[] for _ in self.lists]
-        for g, lst in enumerate(self.lists):
-            tasks = lst[:]
-            del lst[:]
-            self._enter(g, tasks)
-        return True
 
-    def _enter(self, gpu: int, tasks: Iterable[int]) -> None:
+    def assign(self, gpu: int, tasks: Iterable[int]) -> None:
         """Append ``tasks`` to ``gpu``'s list (with a bucket entry each
-        when the cache is on)."""
+        when the buckets are on)."""
         lst = self.lists[gpu]
         if self._mb is None:
             lst.extend(tasks)
@@ -129,7 +120,7 @@ class ReadyLists:
 
     def on_data_evicted(self, gpu: int, data_id: int) -> None:
         # a rise needs no entry: the task's old one now underestimates
-        # it, and _pop_bucketed re-files it when it surfaces
+        # it, and pop_ready re-files it when it surfaces
         if self._mb is None:
             return
         mb = self._mb[gpu]
@@ -159,13 +150,11 @@ class ReadyLists:
             raise RuntimeError("drop_gpu removed the last surviving GPU")
         for task in orphans:
             target = min(alive, key=lambda g: (len(self.lists[g]), g))
-            self._enter(target, (task,))
+            self.assign(target, (task,))
 
     def check_incremental(self, view: "RuntimeView") -> None:
         """Assert the cache equals fresh ``missing_bytes`` and every
         listed task has a bucket entry at or below its value (tests)."""
-        if self._mb is None:
-            return
         for g in range(len(self.lists)):
             if g in self._dead:
                 continue  # wiped memory makes the cached rows stale
@@ -189,46 +178,16 @@ class ReadyLists:
                 f"gpu{g}: a bucket entry lies above its task's value"
             )
 
-    def assign(self, gpu: int, tasks) -> None:
-        self._enter(gpu, tasks)
-
-    def remaining(self, gpu: int) -> List[int]:
-        return self.lists[gpu]
-
-    def total_remaining(self) -> int:
-        return sum(len(l) for l in self.lists)
-
     def pop_ready(self, gpu: int, view: "RuntimeView") -> Optional[int]:
         """Remove and return the task with the fewest missing bytes.
 
         Ties go to list position, preserving the allocation order the
-        partitioning/packing phase chose.  Tasks whose dependencies have
-        not completed yet are skipped; returns ``None`` when no task in
-        the list is released (the list may still be non-empty).
+        static phase chose.  Tasks whose dependencies have not completed
+        yet are skipped; returns ``None`` when no task in the list is
+        released (the list may still be non-empty).  Needs the buckets
+        of :meth:`enable_incremental`.
         """
-        if self._mb is not None:
-            return self._pop_bucketed(gpu, self._mb[gpu], view)
-        lst = self.lists[gpu]
-        self.last_scanned = 0
-        best_pos = -1
-        best_missing = float("inf")
-        for pos, task in enumerate(lst):
-            self.last_scanned += 1
-            if not view.is_released(task):
-                continue
-            missing = view.missing_bytes(gpu, task)
-            if missing < best_missing:
-                best_pos, best_missing = pos, missing
-                if missing == 0:
-                    break
-        if best_pos < 0:
-            return None
-        return self._take(gpu, best_pos)
-
-    def _pop_bucketed(
-        self, gpu: int, mb: List[float], view: "RuntimeView"
-    ) -> Optional[int]:
-        """:meth:`pop_ready` from the buckets: same task, same charge."""
+        mb = self._mb[gpu]
         lst = self.lists[gpu]
         heap = self._heaps[gpu]
         seq = self._seq
@@ -265,7 +224,7 @@ class ReadyLists:
         return self._take(gpu, pos)
 
     def pop_fifo(self, gpu: int, view: Optional["RuntimeView"] = None) -> Optional[int]:
-        """Head pop (DMDA without Ready): first *released* task."""
+        """List-order pop (DMDA, FIXED): first *released* task."""
         lst = self.lists[gpu]
         if view is None or not view.has_dependencies:
             return self._take(gpu, 0) if lst else None
@@ -293,5 +252,62 @@ class ReadyLists:
         take = max(1, load // 2)
         moved = self.lists[victim][-take:]
         del self.lists[victim][-take:]
-        self._enter(thief, moved)
+        self.assign(thief, moved)
         return True
+
+
+class ListScheduler(Scheduler):
+    """Runtime half of the list schedulers; subclasses :meth:`allocate`.
+
+    A GPU pops from its own list, with Ready or in list order, and once
+    the list is empty steals from the most loaded one if allowed.
+    """
+
+    #: pop with Ready (Algorithm 2) rather than in list order
+    use_ready = True
+    #: an idle GPU steals from the most loaded list (paper §IV-B)
+    use_stealing = False
+
+    def allocate(self, view: "RuntimeView") -> Sequence[Sequence[int]]:
+        """Static phase: one ordered task list per GPU."""
+        raise NotImplementedError
+
+    def prepare(self, view: "RuntimeView") -> None:
+        super().prepare(view)
+        self._lists = ReadyLists(view.n_gpus)
+        if self.use_ready:
+            self._lists.enable_incremental(view)
+        for k, tasks in enumerate(self.allocate(view)):
+            self._lists.assign(k, tasks)
+
+    def on_fetch_issued(self, gpu: int, data_id: int) -> None:
+        self._lists.on_fetch_issued(gpu, data_id)
+
+    def on_data_evicted(self, gpu: int, data_id: int) -> None:
+        self._lists.on_data_evicted(gpu, data_id)
+
+    def on_device_lost(self, gpu: int, requeued: Sequence[int]) -> None:
+        self._lists.drop_gpu(gpu, requeued)
+
+    def next_task(self, gpu: int) -> Optional[int]:
+        lists = self._lists
+        while True:
+            if self.use_ready:
+                task = lists.pop_ready(gpu, self.view)
+                self.charge_ops(lists.last_scanned)
+            else:
+                task = lists.pop_fifo(gpu, self.view)
+                self.charge_ops(1)
+            if task is not None:
+                return task
+            if lists.lists[gpu]:
+                return None  # blocked on dependencies, not out of work
+            if not (self.use_stealing and lists.steal_half(gpu)):
+                return None
+
+    def remaining_order(self, gpu: int) -> Sequence[int]:
+        return tuple(self._lists.lists[gpu])
+
+    def allocation(self) -> List[List[int]]:
+        """Each GPU's list: the static allocation, until pops (tests)."""
+        return [list(l) for l in self._lists.lists]

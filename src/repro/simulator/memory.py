@@ -433,10 +433,10 @@ class DeviceMemory:
     def check_invariants(self) -> None:
         """Accounting invariants; used by tests after every run."""
         acc = sum(self.sizes[d] for d in self._state)
-        assert abs(acc - self.used) < 1e-6, (
+        assert acc == self.used, (
             f"GPU {self.gpu}: used={self.used} but states sum to {acc}"
         )
-        assert self.used <= self.capacity + 1e-6
+        assert self.used <= self.capacity
         for d in self._pins:
             assert d in self._state, f"pinned datum {d} not held"
         # the incrementally-maintained sets must equal a fresh rescan

@@ -419,8 +419,6 @@ class Sanitizer:
         sched = runtime.scheduler
         if not isinstance(sched, FixedSchedule):
             return
-        if sched.use_ready or sched.use_stealing:
-            return  # reordering/stealing legitimately permute the order
         if any(runtime.dead):
             return  # device loss legitimately reassigns the fixed order
         for k, order in enumerate(sched.schedule.order):

@@ -19,8 +19,9 @@ def random_bipartite(
 
     Every datum is used at least once when ``n_data ≤ n_tasks × arity``
     is not guaranteed — unused data are permitted (they simply never
-    transfer).  ``heterogeneous_sizes`` draws sizes in [0.5, 2.0]×size to
-    exercise the byte-capacity code paths.
+    transfer).  ``heterogeneous_sizes`` draws sizes in [0.5, 2.0]×size,
+    rounded to whole bytes (at least 1), to exercise the byte-capacity
+    code paths.
     """
     if n_tasks < 1 or n_data < 1:
         raise ValueError("need at least one task and one datum")
@@ -30,7 +31,7 @@ def random_bipartite(
     g = TaskGraph(name=f"random(m={n_tasks}, n={n_data}, arity={arity})")
     for d in range(n_data):
         size = (
-            data_size * rng.uniform(0.5, 2.0)
+            max(1, round(data_size * rng.uniform(0.5, 2.0)))
             if heterogeneous_sizes
             else data_size
         )

@@ -380,6 +380,45 @@ class TestAPI004DeviceListCache:
         )
         assert "API004" not in codes(violations)
 
+    def test_hook_inherited_from_schedulers_class_ok(self, tmp_path):
+        src = (
+            "from repro.schedulers.ready import ListScheduler\n"
+            "class Mine(ListScheduler):\n"
+            "    def allocate(self, view):\n"
+            "        self.parts = [[] for _ in range(view.n_gpus)]\n"
+            "        return self.parts\n"
+        )
+        violations = lint(
+            tmp_path, src, filename="repro/schedulers/mine.py"
+        )
+        assert "API004" not in codes(violations)
+
+    def test_hook_inherited_from_same_module_ok(self, tmp_path):
+        src = (
+            "class Base:\n"
+            "    def on_device_lost(self, gpu, requeued):\n"
+            "        pass\n"
+            "class Mine(Base):\n"
+            "    def prepare(self, view):\n"
+            "        self.lists = [[] for _ in range(view.n_gpus)]\n"
+        )
+        violations = lint(
+            tmp_path, src, filename="repro/schedulers/mine.py"
+        )
+        assert "API004" not in codes(violations)
+
+    def test_scheduler_base_raising_default_flagged(self, tmp_path):
+        src = (
+            "from repro.schedulers.base import Scheduler\n"
+            "class Mine(Scheduler):\n"
+            "    def prepare(self, view):\n"
+            "        self.lists = [[] for _ in range(view.n_gpus)]\n"
+        )
+        violations = lint(
+            tmp_path, src, filename="repro/schedulers/mine.py"
+        )
+        assert "API004" in codes(violations)
+
     def test_no_device_sizing_ok(self, tmp_path):
         src = (
             "class Eagerish:\n"

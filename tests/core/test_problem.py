@@ -37,6 +37,21 @@ class TestConstruction:
         with pytest.raises(ValueError, match="positive"):
             g.add_data(0.0)
 
+    def test_fractional_size_data_rejected(self):
+        g = TaskGraph()
+        with pytest.raises(ValueError, match="whole number of bytes"):
+            g.add_data(1.5)
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                g.add_data(bad)
+        assert g.n_data == 0
+
+    def test_whole_byte_sizes_accepted(self):
+        g = TaskGraph()
+        assert g.add_data(2.0).size == 2.0
+        assert g.add_data(14.75e6).size == 14.75e6
+        assert isinstance(g.add_data(3).size, float)
+
     def test_negative_flops_rejected(self):
         g = TaskGraph()
         d = g.add_data(1.0)

@@ -232,7 +232,7 @@ def reference_pop(lists, gpu, view):
     released) and the ``last_scanned`` it must charge.
     """
     best, best_missing, scanned = None, float("inf"), 0
-    for task in lists.remaining(gpu):
+    for task in lists.lists[gpu]:
         scanned += 1
         if not view.is_released(task):
             continue
@@ -288,14 +288,25 @@ READY_CLASSES = [_CheckedDmdar, _CheckedMhfp, _CheckedHmetisR]
 
 @st.composite
 def graph_case(draw):
+    """A random bipartite graph, with uniform or heterogeneous whole-byte
+    sizes, and a memory that holds at least its largest task footprint."""
     n_data = draw(st.integers(3, 8))
     n_tasks = draw(st.integers(2, 16))
     arity = draw(st.integers(1, min(3, n_data)))
     seed = draw(st.integers(0, 9999))
+    heterogeneous = draw(st.booleans())
     graph = random_bipartite(
-        n_tasks, n_data, arity=arity, data_size=1.0, task_flops=1.0, seed=seed
+        n_tasks,
+        n_data,
+        arity=arity,
+        data_size=4.0 if heterogeneous else 1.0,
+        task_flops=1.0,
+        seed=seed,
+        heterogeneous_sizes=heterogeneous,
     )
-    memory = float(draw(st.integers(arity, n_data + 1)))
+    sizes = [d.size for d in graph.data]
+    largest = max(sum(sizes[d] for d in t.inputs) for t in graph.tasks)
+    memory = float(draw(st.integers(int(largest), int(sum(sizes)) + 1)))
     n_gpus = draw(st.integers(1, 3))
     window = draw(st.integers(1, 3))
     return graph, memory, n_gpus, window, seed

@@ -42,30 +42,24 @@ class TestEager:
 
 
 class TestFixedSchedule:
-    def test_names_reflect_options(self):
-        s = Schedule.single_gpu([0])
-        assert FixedSchedule(s).name == "FIXED"
-        assert FixedSchedule(s, use_ready=True).name == "FIXED+R"
-        assert (
-            FixedSchedule(s, use_ready=True, use_stealing=True).name
-            == "FIXED+R+steal"
-        )
-
-    def test_stealing_rebalances_lopsided_schedule(self, figure1_graph):
-        lopsided = Schedule(order=[list(range(9)), []])
-        sched = FixedSchedule(lopsided, use_stealing=True)
-        result = simulate(
-            figure1_graph, toy_platform(n_gpus=2, memory=4.0), sched
-        )
-        assert all(g.n_tasks > 0 for g in result.gpus)
-
     def test_no_stealing_keeps_lopsided(self, figure1_graph):
         lopsided = Schedule(order=[list(range(9)), []])
-        sched = FixedSchedule(lopsided, use_stealing=False)
+        sched = FixedSchedule(lopsided)
         result = simulate(
             figure1_graph, toy_platform(n_gpus=2, memory=4.0), sched
         )
         assert result.gpus[1].n_tasks == 0
+
+    def test_replays_order_ready_would_change(self, figure1_graph):
+        """T8 first, then T0 (which shares no input with it) ahead of
+        T7 (which does): Ready would run T7 second, the replay runs T0."""
+        order = [8, 0, 7] + list(range(1, 7))
+        result = simulate(
+            figure1_graph,
+            toy_platform(memory=4.0),
+            FixedSchedule(Schedule.single_gpu(order)),
+        )
+        assert result.executed_order[0] == order
 
 
 class TestHmetisR:

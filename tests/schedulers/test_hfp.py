@@ -134,7 +134,7 @@ class TestSchedulers:
 
         rt = Runtime(g, toy_platform(n_gpus=2, memory=6.0), sched)
         sched.prepare(rt.view)
-        pk = sched.packages()
+        pk = sched.allocation()
         assert sorted(t for p in pk for t in p) == list(range(16))
 
     def test_names(self):

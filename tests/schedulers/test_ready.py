@@ -14,6 +14,14 @@ def make_view(graph, n_gpus=1, memory=4.0):
     return rt, rt.view
 
 
+def ready_lists(view, tasks):
+    """One GPU's list holding ``tasks``, with Ready's buckets built."""
+    lists = ReadyLists(1)
+    lists.enable_incremental(view)
+    lists.assign(0, tasks)
+    return lists
+
+
 class TestPopReady:
     def test_prefers_task_with_data_resident(self, figure1_graph):
         rt, view = make_view(figure1_graph, memory=4.0)
@@ -21,28 +29,38 @@ class TestPopReady:
         rt.memories[0].request(0)
         rt.memories[0].request(3)
         rt.engine.run()
-        lists = ReadyLists(1)
-        lists.assign(0, [8, 4, 0])  # T0 last in the list
+        lists = ready_lists(view, [8, 4, 0])  # T0 last in the list
         assert lists.pop_ready(0, view) == 0
+        assert lists.last_scanned == 3  # T0 misses nothing
 
     def test_counts_fetching_data_as_available(self, figure1_graph):
         rt, view = make_view(figure1_graph, memory=4.0)
         rt.memories[0].request(0)  # fetch in flight, not yet present
-        lists = ReadyLists(1)
-        lists.assign(0, [4, 0])
+        lists = ready_lists(view, [4, 0])
         # T0 misses only D3; T4 misses both its inputs
         assert lists.pop_ready(0, view) == 0
+        assert lists.last_scanned == 2  # a missing task: the whole list
+
+    def test_fetch_after_build_moves_the_choice(self, figure1_graph):
+        rt, view = make_view(figure1_graph, memory=4.0)
+        lists = ready_lists(view, [4, 0])
+        for d in (0, 3):  # T0's inputs join the held set
+            rt.memories[0].request(d)
+            lists.on_fetch_issued(0, d)
+        assert lists.pop_ready(0, view) == 0
+        lists.check_incremental(view)
 
     def test_tie_goes_to_list_position(self, figure1_graph):
         rt, view = make_view(figure1_graph)
-        lists = ReadyLists(1)
-        lists.assign(0, [5, 2, 7])  # all equally missing
+        lists = ready_lists(view, [5, 2, 7])  # all equally missing
         assert lists.pop_ready(0, view) == 5
+        assert lists.pop_ready(0, view) == 2
 
     def test_pop_ready_empty_returns_none(self, figure1_graph):
         rt, view = make_view(figure1_graph)
-        lists = ReadyLists(1)
+        lists = ready_lists(view, [])
         assert lists.pop_ready(0, view) is None
+        assert lists.last_scanned == 0
 
     def test_pop_fifo_order(self):
         lists = ReadyLists(1)
@@ -52,8 +70,7 @@ class TestPopReady:
     def test_remaining_view(self):
         lists = ReadyLists(2)
         lists.assign(0, [1, 2])
-        assert lists.remaining(0) == [1, 2]
-        assert lists.total_remaining() == 2
+        assert lists.lists[0] == [1, 2]
 
 
 class TestStealing:
