@@ -77,13 +77,6 @@ E2E_CELLS: Dict[str, List[str]] = {
 }
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
 def calibrate() -> float:
     """Time a fixed pure-Python workload (machine-speed yardstick)."""
     t0 = time.perf_counter()
@@ -213,6 +206,8 @@ def bench_darts_decision(n: int = 48) -> Dict[str, Any]:
 
 
 def run_benchmarks(quick: bool) -> Dict[str, Any]:
+    from repro.experiments.harness import usable_cpus
+
     cells = {"fig3:48": E2E_CELLS["fig3:48"]} if quick else E2E_CELLS
     reps = 1 if quick else 2
     static_reps = 1 if quick else 3
@@ -225,7 +220,7 @@ def run_benchmarks(quick: bool) -> Dict[str, Any]:
             "python": _platform.python_version(),
             "platform": _platform.platform(),
             "cpu_count": os.cpu_count(),
-            "usable_cpus": _usable_cpus(),
+            "usable_cpus": usable_cpus(),
         },
         "quick": quick,
         "calibration_s": round(calibrate(), 4),

@@ -1,15 +1,15 @@
 #!/usr/bin/env python
-"""Harness throughput benchmark: serial vs parallel vs warm cache.
+"""Harness throughput benchmark: in-process vs pool vs warm cache.
 
-Times the fig3 and fig8 small sweeps through the three execution paths
-of the experiment harness —
+Times the fig3 and fig8 small sweeps through the one sweep executor,
+``harness.run_sweep``, in its three modes —
 
-* serial      — ``harness.run_figure`` (one process, no cache),
-* parallel    — ``parallel.run_figure_parallel`` with ``--jobs`` workers,
+* serial      — ``jobs=1``: every cell in-process, no cache,
+* parallel    — ``jobs=--jobs``: cells on a forked worker pool,
 * cached      — a cold cache-populating run, then a warm rerun that
                 performs zero simulations,
 
-verifies all paths agree on every simulation-derived value, and writes
+verifies all modes agree on every simulation-derived value, and writes
 the wall-clock numbers to ``BENCH_harness.json`` (repo root) — the
 first point of the repo's performance trajectory.
 
@@ -49,32 +49,21 @@ DEFAULT_OUT = os.path.abspath(
 )
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
 def _time_figure(
     figure_id: str, points: Optional[int], jobs: int
 ) -> Dict[str, Any]:
     from repro.experiments.cache import ResultCache
-    from repro.experiments.harness import figure_spec, run_figure
-    from repro.experiments.parallel import (
-        enumerate_cells,
-        run_figure_parallel,
-    )
+    from repro.experiments.harness import enumerate_cells, figure_spec, run_sweep
 
     spec = figure_spec(figure_id, scale="small", points=points)
     n_cells = len(enumerate_cells(spec))
 
     t0 = time.perf_counter()
-    serial = run_figure(figure_id, scale="small", points=points)
+    serial = run_sweep(spec, jobs=1)
     serial_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    par = run_figure_parallel(figure_id, points=points, jobs=jobs)
+    par = run_sweep(spec, jobs=jobs)
     parallel_s = time.perf_counter() - t0
 
     identical = json.dumps(serial.deterministic_dict()) == json.dumps(
@@ -85,16 +74,12 @@ def _time_figure(
     try:
         cold_cache = ResultCache(cache_dir)
         t0 = time.perf_counter()
-        run_figure_parallel(
-            figure_id, points=points, jobs=jobs, cache=cold_cache
-        )
+        run_sweep(spec, jobs=jobs, cache=cold_cache)
         cache_cold_s = time.perf_counter() - t0
 
         warm_cache = ResultCache(cache_dir)
         t0 = time.perf_counter()
-        warm = run_figure_parallel(
-            figure_id, points=points, jobs=jobs, cache=warm_cache
-        )
+        warm = run_sweep(spec, jobs=jobs, cache=warm_cache)
         cache_warm_s = time.perf_counter() - t0
         all_hits = warm_cache.hits == n_cells and warm_cache.misses == 0
         identical = identical and json.dumps(
@@ -134,6 +119,8 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--out", default=DEFAULT_OUT, help="output JSON path")
     args = parser.parse_args(argv)
 
+    from repro.experiments.harness import usable_cpus
+
     figures = (
         {"fig3": 5, "fig8": 2} if args.quick else {"fig3": None, "fig8": 4}
     )
@@ -145,14 +132,14 @@ def main(argv: Optional[list] = None) -> int:
             "python": _platform.python_version(),
             "platform": _platform.platform(),
             "cpu_count": os.cpu_count(),
-            "usable_cpus": _usable_cpus(),
+            "usable_cpus": usable_cpus(),
         },
         "jobs": args.jobs,
         "figures": {},
     }
-    if _usable_cpus() < args.jobs:
+    if usable_cpus() < args.jobs:
         report["note"] = (
-            f"parallel speedup bounded by {_usable_cpus()} usable CPU(s); "
+            f"parallel speedup bounded by {usable_cpus()} usable CPU(s); "
             f"--jobs {args.jobs} cannot exceed that"
         )
 

@@ -1,10 +1,11 @@
 """Benchmark harness support.
 
-Each ``bench_figXX`` module regenerates one paper figure at reduced scale
-(see ``repro.experiments.figures``), records its series table, and times
-one representative run with pytest-benchmark.  Tables are emitted in the
-terminal summary (so they survive output capture and land in
-``bench_output.txt``) and mirrored to ``benchmarks/results/``.
+``bench_figures.py`` regenerates each paper figure at reduced scale (see
+``repro.experiments.figures``), times the regeneration with
+pytest-benchmark and records its series table; the ablations record
+theirs too.  Tables are emitted in the terminal summary (so they survive
+output capture and land in ``bench_output.txt``) and mirrored to
+``benchmarks/results/``.
 """
 
 from __future__ import annotations

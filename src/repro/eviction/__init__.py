@@ -19,8 +19,6 @@ policies here.  Belady's rule itself is
 from repro.eviction.base import EvictionPolicy
 from repro.eviction.lru import LruPolicy
 from repro.eviction.fifo import FifoPolicy
-from repro.eviction.mru import MruPolicy
-from repro.eviction.lfu import LfuPolicy
 from repro.eviction.random_policy import RandomPolicy
 from repro.eviction.belady_online import OnlineBeladyPolicy
 from repro.eviction.luf import LufPolicy
@@ -28,8 +26,6 @@ from repro.eviction.luf import LufPolicy
 _BY_NAME = {
     "lru": LruPolicy,
     "fifo": FifoPolicy,
-    "mru": MruPolicy,
-    "lfu": LfuPolicy,
     "random": RandomPolicy,
     "belady": OnlineBeladyPolicy,
     "luf": LufPolicy,
@@ -59,8 +55,6 @@ __all__ = [
     "EvictionPolicy",
     "LruPolicy",
     "FifoPolicy",
-    "MruPolicy",
-    "LfuPolicy",
     "RandomPolicy",
     "OnlineBeladyPolicy",
     "LufPolicy",

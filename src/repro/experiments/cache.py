@@ -3,7 +3,8 @@
 Every ``(n, scheduler, repetition)`` cell of a sweep is a pure function
 of its instance, platform, scheduler configuration, and seed, so its
 :class:`~repro.metrics.collect.Measurement` can be memoised across
-harness invocations.  Each cell is keyed by a SHA-256 digest covering
+harness invocations.  Each cell is keyed by a SHA-256 digest
+(:func:`repro.experiments.harness.cell_key`) covering
 
 * the task graph itself (data sizes, task inputs/outputs/flops — not a
   workload *name*, so two differently-labelled workloads that build the
@@ -37,15 +38,15 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
 from repro.core.problem import TaskGraph
-from repro.experiments.harness import SweepSpec, effective_threshold, rep_seed
 from repro.metrics.collect import Measurement
 from repro.platform.spec import BusSpec, PlatformSpec
 
 #: default location, relative to the invoking process's cwd
 DEFAULT_CACHE_DIR = ".repro-cache"
 
-#: bump when the on-disk entry format changes
-CACHE_FORMAT_VERSION = 1
+#: bump when the on-disk entry format changes (2: ``Measurement`` gained
+#: ``virtual_decision_time_s``)
+CACHE_FORMAT_VERSION = 2
 
 
 @lru_cache(maxsize=1)
@@ -106,36 +107,6 @@ def platform_fingerprint(platform: PlatformSpec) -> Dict[str, Any]:
     }
 
 
-def cell_key(
-    spec: SweepSpec,
-    n: int,
-    scheduler: str,
-    rep: int,
-    graph: Optional[TaskGraph] = None,
-) -> str:
-    """Content-addressed key of one sweep cell.
-
-    ``graph`` is the instance already built for this ``n`` (built from
-    ``spec.workload`` when omitted).
-    """
-    if graph is None:
-        graph = spec.workload(n)
-    payload = {
-        "format": CACHE_FORMAT_VERSION,
-        "code": code_salt(),
-        "graph": graph_fingerprint(graph),
-        "n": n,
-        "platform": platform_fingerprint(spec.platform()),
-        "scheduler": scheduler.strip().lower().replace(" ", ""),
-        "threshold": effective_threshold(spec, scheduler),
-        "window": spec.window,
-        "seed": rep_seed(spec.seed, scheduler, n, rep),
-        "faults": None if spec.faults is None else spec.faults.to_dict(),
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
 class ResultCache:
     """On-disk measurement cache with hit/miss accounting."""
 
@@ -147,16 +118,6 @@ class ResultCache:
     # ------------------------------------------------------------------
     def _path(self, key: str) -> Path:
         return self.cache_dir / key[:2] / f"{key}.json"
-
-    def key_for(
-        self,
-        spec: SweepSpec,
-        n: int,
-        scheduler: str,
-        rep: int,
-        graph: Optional[TaskGraph] = None,
-    ) -> str:
-        return cell_key(spec, n, scheduler, rep, graph=graph)
 
     def get(self, key: str) -> Optional[Measurement]:
         """Cached measurement for ``key``, or None (counted as a miss)."""

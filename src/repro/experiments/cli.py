@@ -9,9 +9,10 @@ Examples::
     python -m repro.experiments fig3 --no-cache         # force recompute
     python -m repro.experiments fig3 --fault-plan plan.json   # inject faults
 
-Sweep cells run through :mod:`repro.experiments.parallel`: ``--jobs N``
-fans independent ``(n, scheduler, repetition)`` simulations across N
-worker processes (default: all CPUs), and results are memoised in a
+Sweep cells run through :func:`repro.experiments.harness.run_sweep`:
+``--jobs N`` fans independent ``(n, scheduler, repetition)`` simulations
+across N worker processes (default: all usable CPUs; 1 runs them
+in-process), and results are memoised in a
 content-addressed cache under ``--cache-dir`` (default
 ``.repro-cache/``) so re-running a figure is near-instant unless the
 code, the instance, or the seed changed.  The per-figure footer reports
@@ -27,7 +28,7 @@ from typing import List, Optional
 
 from repro.experiments.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.experiments.figures import FIGURES
-from repro.experiments.parallel import run_figure_parallel
+from repro.experiments.harness import run_figure, usable_cpus
 from repro.metrics.report import ascii_plot, format_series_table
 from repro.simulator.faults import load_fault_plan
 
@@ -112,11 +113,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"   {config.notes}")
         before = cache.snapshot() if cache is not None else None
         t0 = time.perf_counter()
-        sweep = run_figure_parallel(
+        sweep = run_figure(
             fid,
             scale=args.scale,
             points=args.points,
-            jobs=args.jobs,
+            jobs=usable_cpus() if args.jobs is None else args.jobs,
             cache=cache,
             verbose=args.verbose,
             faults=faults,

@@ -7,27 +7,76 @@ plots, the PCI-bus limit curve.
 
 A sweep decomposes into independent *cells* — one ``(n, scheduler,
 repetition)`` simulation each.  :func:`run_cell` computes a single cell
-and :func:`run_sweep` assembles cells into the figure's series.  The
-assembly accepts a pluggable ``cell_runner`` so other execution
-strategies (the process-pool executor in
-:mod:`repro.experiments.parallel`, the result cache in
-:mod:`repro.experiments.cache`) produce byte-identical sweeps: only the
-way cells are *computed* changes, never the order they are merged in.
+and :func:`run_sweep`, the one sweep executor, builds each instance
+once, serves the cells it can from a :class:`ResultCache`, computes the
+rest in-process (``jobs=1``) or on a process pool, and assembles the
+figure's series in serial order.  How a cell is computed never changes
+where it is merged, so every ``jobs`` value yields the same sweep.
+
+Pool workers are forked (POSIX): the parent parks the spec and the built
+instances in module globals before creating the pool, and children
+inherit them through the fork, so specs whose ``workload``/``platform``
+factories are lambdas (most figure configs) need never be pickled.
+Only cell indices cross the pipe one way and ``Measurement`` dataclasses
+the other.  Where fork is unavailable the cells run in-process.
+
+Determinism contract: every simulation-derived quantity (throughput,
+transfers, loads, evictions, makespan, balance, modelled decision time,
+series order) is bit-identical for any worker count — compare with
+``Sweep.deterministic_dict()``.  The two wall-clock fields
+(``Measurement.WALL_CLOCK_FIELDS``: static scheduling time and the
+throughput charged with it) are *host measurements* and jitter between
+any two runs; serving cells from a shared cache freezes them too,
+making warm reruns byte-identical end to end.
+
+Fault tolerance (pool only): the pool survives killed workers
+(``BrokenProcessPool`` — e.g. the OOM killer taking out one child
+mid-sweep) and wedged cells (a per-cell wall-clock timeout).  Affected
+cells are retried with a capped exponential backoff; a cell that keeps
+failing after ``max_attempts`` rounds is *excluded* — reported in the
+merge footer and skipped by the assembly, which averages the
+repetitions that did complete and drops the point entirely when none
+did.  In-process, a cell that raises raises.  Only cleanly completed
+cells are ever written to the cache, so a crash can never poison
+future warm runs.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+import json
+import os
+import time
+from dataclasses import dataclass, replace
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.bounds import pci_transfer_limit_bytes, roofline_gflops
 from repro.core.problem import TaskGraph
+from repro.experiments.cache import (
+    CACHE_FORMAT_VERSION,
+    ResultCache,
+    code_salt,
+    graph_fingerprint,
+    platform_fingerprint,
+)
 from repro.metrics.collect import Measurement, Sweep
 from repro.platform.spec import PlatformSpec
 from repro.schedulers.registry import make_scheduler
 from repro.simulator.faults import FaultPlan
 from repro.simulator.runtime import simulate
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from concurrent.futures import ProcessPoolExecutor
 
 
 @dataclass
@@ -52,14 +101,24 @@ class SweepSpec:
     faults: Optional[FaultPlan] = None
 
 
-#: computes one ``(n, scheduler, repetition)`` cell; the trailing graph
-#: argument is the instance already built for this ``n`` (runners that
-#: look results up instead of simulating may ignore it).  A runner may
-#: return ``None`` for a cell it could not produce (e.g. excluded after
-#: repeated worker crashes); the sweep assembly skips such cells.
-CellRunner = Callable[
-    ["SweepSpec", int, str, int, Optional[TaskGraph]], Optional[Measurement]
-]
+class Cell(NamedTuple):
+    """One independent unit of sweep work."""
+
+    n: int
+    scheduler: str
+    rep: int
+
+
+class ExcludedCell(NamedTuple):
+    """A cell dropped from the merge after exhausting its retry budget."""
+
+    cell: Cell
+    attempts: int
+    error: str
+
+
+def _canon(scheduler: str) -> str:
+    return scheduler.strip().lower().replace(" ", "")
 
 
 def rep_seed(base: int, scheduler: str, n: int, rep: int) -> int:
@@ -70,8 +129,9 @@ def rep_seed(base: int, scheduler: str, n: int, rep: int) -> int:
     no two cells of a sweep share a random state and repetitions differ
     even for schedulers whose only entropy source is the seed.
     """
-    canon = scheduler.strip().lower().replace(" ", "")
-    digest = hashlib.sha256(f"{base}|{canon}|{n}|{rep}".encode()).digest()
+    digest = hashlib.sha256(
+        f"{base}|{_canon(scheduler)}|{n}|{rep}".encode()
+    ).digest()
     return int.from_bytes(digest[:4], "big")
 
 
@@ -79,6 +139,63 @@ def effective_threshold(spec: SweepSpec, scheduler: str) -> Optional[int]:
     """The DARTS threshold actually applied to this scheduler name."""
     is_thresh = scheduler.strip().lower().endswith("+threshold")
     return spec.threshold if is_thresh else None
+
+
+def cell_key(
+    spec: SweepSpec,
+    n: int,
+    scheduler: str,
+    rep: int,
+    graph: Optional[TaskGraph] = None,
+) -> str:
+    """Content-addressed cache key of one sweep cell.
+
+    Covers the instance's content, the platform, the canonical
+    scheduler name and its effective threshold, the window, the mixed
+    seed, the fault plan and the code salt (see
+    :mod:`repro.experiments.cache`).  ``graph`` is the instance already
+    built for this ``n`` (built from ``spec.workload`` when omitted).
+    """
+    if graph is None:
+        graph = spec.workload(n)
+    payload = {
+        "format": CACHE_FORMAT_VERSION,
+        "code": code_salt(),
+        "graph": graph_fingerprint(graph),
+        "n": n,
+        "platform": platform_fingerprint(spec.platform()),
+        "scheduler": _canon(scheduler),
+        "threshold": effective_threshold(spec, scheduler),
+        "window": spec.window,
+        "seed": rep_seed(spec.seed, scheduler, n, rep),
+        "faults": None if spec.faults is None else spec.faults.to_dict(),
+    }
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def enumerate_cells(spec: SweepSpec) -> List[Cell]:
+    """All ``(n, scheduler, repetition)`` cells, in serial sweep order."""
+    return [
+        Cell(n, name, rep)
+        for n in spec.ns
+        for name in spec.schedulers
+        for rep in range(max(1, spec.repetitions))
+    ]
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on (the CLI's default ``--jobs``)."""
+    try:
+        return max(1, len(os.sched_getaffinity(0)))
+    except AttributeError:  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
+
+
+def fork_available() -> bool:
+    import multiprocessing
+
+    return "fork" in multiprocessing.get_all_start_methods()
 
 
 def run_cell(
@@ -109,31 +226,232 @@ def run_cell(
     )
 
 
+# ----------------------------------------------------------------------
+# fork-shared state: set in the parent immediately before the pool is
+# created, inherited by the workers through the fork, cleared after
+# ----------------------------------------------------------------------
+_FORK_SPEC: Optional[SweepSpec] = None
+_FORK_CELLS: List[Cell] = []
+_FORK_GRAPHS: Dict[int, TaskGraph] = {}
+
+
+def _run_indexed_cell(i: int) -> Tuple[int, Measurement]:
+    """Worker entry point: compute cell ``i`` of the parked work list."""
+    assert _FORK_SPEC is not None, "worker forked without a parked spec"
+    cell = _FORK_CELLS[i]
+    return i, run_cell(
+        _FORK_SPEC,
+        cell.n,
+        cell.scheduler,
+        cell.rep,
+        graph=_FORK_GRAPHS.get(cell.n),
+    )
+
+
+def _teardown_pool(pool: "ProcessPoolExecutor") -> None:
+    """Abandon a wedged/broken pool without waiting on its workers."""
+    # shutdown() drops the pool's process dict, so take the workers first
+    procs = list((getattr(pool, "_processes", None) or {}).values())
+    pool.shutdown(wait=False, cancel_futures=True)
+    for proc in procs:
+        try:
+            proc.terminate()
+        except Exception:  # pragma: no cover - best effort
+            pass
+
+
+def _compute_pool(
+    spec: SweepSpec,
+    cells: List[Cell],
+    graphs: Dict[int, TaskGraph],
+    jobs: int,
+    cell_timeout: float,
+    max_attempts: int,
+    retry_backoff: float,
+) -> Tuple[Dict[Cell, Measurement], List[ExcludedCell]]:
+    """Run ``cells`` across a process pool, surviving crashes and hangs.
+
+    Each round submits every still-pending cell to a fresh pool.  A cell
+    whose future raises (worker exception), whose pool breaks under it
+    (killed worker), or that exceeds ``cell_timeout`` of wall clock is
+    charged one failed attempt and retried next round after a capped
+    exponential backoff; cells untouched by the abort keep their attempt
+    budget.  After ``max_attempts`` failures a cell is excluded and
+    reported instead of aborting the sweep.
+    """
+    # Imported here: the pool's modules add about 3 MB of resident
+    # memory that in-process sweeps and single cells never use.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import TimeoutError as FutureTimeout
+    from concurrent.futures.process import BrokenProcessPool
+
+    global _FORK_SPEC, _FORK_CELLS, _FORK_GRAPHS
+    ctx = multiprocessing.get_context("fork")
+    results: Dict[Cell, Measurement] = {}
+    attempts = [0] * len(cells)
+    errors: Dict[int, str] = {}
+    excluded: List[ExcludedCell] = []
+    # Largest instances dominate the wall clock; dispatch them first so
+    # the tail of the schedule is short cells, not one straggler.
+    pending = sorted(range(len(cells)), key=lambda i: (-cells[i].n, i))
+    _FORK_SPEC, _FORK_CELLS, _FORK_GRAPHS = spec, list(cells), graphs
+    try:
+        round_no = 0
+        while pending:
+            round_no += 1
+            if round_no > 1:
+                time.sleep(min(retry_backoff * 2 ** (round_no - 2), 5.0))
+            pool = ProcessPoolExecutor(
+                max_workers=min(jobs, len(pending)), mp_context=ctx
+            )
+            futures = [(i, pool.submit(_run_indexed_cell, i)) for i in pending]
+            done: List[int] = []
+            failed: List[int] = []
+            aborted = False
+            try:
+                for i, fut in futures:
+                    if aborted:
+                        break
+                    try:
+                        idx, m = fut.result(timeout=cell_timeout)
+                        results[cells[idx]] = m
+                        done.append(idx)
+                    except FutureTimeout:
+                        errors[i] = (
+                            f"no result within {cell_timeout:.0f}s wall clock"
+                        )
+                        failed.append(i)
+                        aborted = True  # pool is wedged; rebuild it
+                    except BrokenProcessPool:
+                        errors[i] = "worker process died (pool broken)"
+                        failed.append(i)
+                        aborted = True  # pool is unusable; rebuild it
+                    except Exception as exc:
+                        errors[i] = f"{type(exc).__name__}: {exc}"
+                        failed.append(i)
+            finally:
+                if aborted:
+                    _teardown_pool(pool)
+                else:
+                    pool.shutdown(wait=True)
+            survivors: List[int] = []
+            for i in failed:
+                attempts[i] += 1
+                if attempts[i] >= max_attempts:
+                    excluded.append(
+                        ExcludedCell(cells[i], attempts[i], errors[i])
+                    )
+                else:
+                    survivors.append(i)
+            finished = set(done)
+            blamed = set(failed)
+            # Cells neither finished nor blamed were innocent bystanders
+            # of an aborted round: they retry without losing budget.
+            pending = survivors + [
+                i for i in pending if i not in finished and i not in blamed
+            ]
+            pending.sort(key=lambda i: (-cells[i].n, i))
+        return results, excluded
+    finally:
+        _FORK_SPEC, _FORK_CELLS, _FORK_GRAPHS = None, [], {}
+
+
 def run_sweep(
     spec: SweepSpec,
+    jobs: int = 1,
+    cache: Optional[ResultCache] = None,
     verbose: bool = False,
-    cell_runner: Optional[CellRunner] = None,
+    cell_timeout: float = 600.0,
+    max_attempts: int = 3,
+    retry_backoff: float = 0.5,
 ) -> Sweep:
     """Execute the sweep and collect all series.
 
-    ``cell_runner`` overrides how each cell's :class:`Measurement` is
-    obtained (defaults to :func:`run_cell`, i.e. simulate in-process).
+    Builds each instance once and looks every cell up in ``cache``
+    first.  The misses run in-process when ``jobs`` is 1 (or fork is
+    unavailable), where a cell that raises aborts the sweep, and on a
+    ``jobs``-worker pool otherwise, where cells that crash or hang are
+    retried up to ``max_attempts`` times (capped exponential backoff
+    from ``retry_backoff`` seconds, per-cell wall-clock budget
+    ``cell_timeout``) and then excluded and reported in a footer.  Only
+    cleanly completed cells are written to ``cache``.
+
     Averaging across repetitions, series insertion order, the
-    no-sched-time variants, and the reference lines/curves are computed
-    here regardless of the runner, which is what guarantees that the
-    parallel and cached executors reproduce the serial sweep exactly.
+    no-sched-time variants, and the reference lines/curves do not depend
+    on how the cells were obtained, so every ``jobs`` value and a warm
+    cache reproduce the in-process sweep exactly.
     """
-    runner: CellRunner = cell_runner if cell_runner is not None else run_cell
+    cells = enumerate_cells(spec)
+    graphs = {n: spec.workload(n) for n in spec.ns}
+
+    results: Dict[Cell, Measurement] = {}
+    keys: Dict[Cell, str] = {}
+    if cache is not None:
+        for cell in cells:
+            keys[cell] = cell_key(
+                spec, cell.n, cell.scheduler, cell.rep, graph=graphs[cell.n]
+            )
+            hit = cache.get(keys[cell])
+            if hit is not None:
+                results[cell] = hit
+    missing = [cell for cell in cells if cell not in results]
+
+    excluded: List[ExcludedCell] = []
+    pairs: Iterable[Tuple[Cell, Measurement]]
+    if jobs > 1 and len(missing) > 1 and fork_available():
+        computed, excluded = _compute_pool(
+            spec,
+            missing,
+            graphs,
+            min(jobs, len(missing)),
+            cell_timeout=cell_timeout,
+            max_attempts=max_attempts,
+            retry_backoff=retry_backoff,
+        )
+        pairs = computed.items()
+    else:
+        pairs = (
+            (c, run_cell(spec, c.n, c.scheduler, c.rep, graph=graphs[c.n]))
+            for c in missing
+        )
+    # Each cell is stored as it completes, so an in-process failure
+    # keeps the cells before it; excluded cells never get here, so
+    # nothing a crash touched can poison a warm rerun.
+    for cell, m in pairs:
+        results[cell] = m
+        if cache is not None:
+            cache.put(keys[cell], m)
+
+    sweep = _assemble(spec, graphs, results, verbose)
+    if excluded:
+        print(
+            f"  [merge: {len(excluded)} cell(s) excluded after "
+            f"{max_attempts} attempt(s) each]"
+        )
+        for exc_cell in sorted(excluded, key=lambda e: e.cell):
+            c = exc_cell.cell
+            print(f"    n={c.n} {c.scheduler} rep={c.rep}: {exc_cell.error}")
+    return sweep
+
+
+def _assemble(
+    spec: SweepSpec,
+    graphs: Dict[int, TaskGraph],
+    results: Dict[Cell, Measurement],
+    verbose: bool,
+) -> Sweep:
+    """Merge the cells' measurements into the figure's series."""
     platform = spec.platform()
     sweep = Sweep(title=spec.title)
     sweep.reference_lines["GFlop/s max"] = roofline_gflops(
         platform.n_gpus, platform.gpus[0].gflops
     )
+    variants = {_canon(s) for s in spec.no_sched_time_variants}
     pci_curve: List[float] = []
 
     for n in spec.ns:
-        graph = spec.workload(n)
-        ws_mb = graph.working_set_bytes / 1e6
+        graph = graphs[n]
         pci_curve.append(
             pci_transfer_limit_bytes(
                 graph,
@@ -144,44 +462,31 @@ def run_sweep(
             / 1e6
         )
         for name in spec.schedulers:
-            maybe = [
-                runner(spec, n, name, rep, graph)
-                for rep in range(max(1, spec.repetitions))
-            ]
-            measurements = [m for m in maybe if m is not None]
+            reps = [Cell(n, name, rep) for rep in range(max(1, spec.repetitions))]
+            measurements = [results[c] for c in reps if c in results]
             if not measurements:
-                # every repetition of this cell failed (excluded by the
-                # parallel executor); skip the point rather than abort
-                # the whole sweep — partial merges stay usable.
+                # every repetition of this cell was excluded; skip the
+                # point rather than abort — partial merges stay usable.
                 continue
             m = _average(measurements)
             sweep.add(m)
             if verbose:
                 print(
-                    f"  n={n:4d} ws={ws_mb:7.0f}MB {m.scheduler:>24s} "
+                    f"  n={n:4d} ws={graph.working_set_bytes / 1e6:7.0f}MB "
+                    f"{m.scheduler:>24s} "
                     f"{m.gflops:9.0f} GF/s  {m.transfers_mb:9.0f} MB"
                 )
-            canon = name.strip().lower().replace(" ", "")
-            if canon in {
-                s.strip().lower().replace(" ", "")
-                for s in spec.no_sched_time_variants
-            }:
+            if _canon(name) in variants:
                 # The paper plots these twice: with the static phase's
                 # wall-clock charged, and without ("no part. time").
-                pure = Measurement(
-                    scheduler=f"{m.scheduler} no sched. time",
-                    n=m.n,
-                    working_set_mb=m.working_set_mb,
-                    gflops=m.gflops,
-                    gflops_with_sched=m.gflops,
-                    transfers_mb=m.transfers_mb,
-                    loads=m.loads,
-                    evictions=m.evictions,
-                    makespan_s=m.makespan_s,
-                    scheduling_time_s=0.0,
-                    balance=m.balance,
+                sweep.add(
+                    replace(
+                        m,
+                        scheduler=f"{m.scheduler} no sched. time",
+                        gflops_with_sched=m.gflops,
+                        scheduling_time_s=0.0,
+                    )
                 )
-                sweep.add(pure)
     sweep.reference_curves["PCI bus limit (MB)"] = pci_curve
     return sweep
 
@@ -203,6 +508,8 @@ def _average(ms: List[Measurement]) -> Measurement:
         makespan_s=sum(m.makespan_s for m in ms) / k,
         scheduling_time_s=sum(m.scheduling_time_s for m in ms) / k,
         balance=sum(m.balance for m in ms) / k,
+        virtual_decision_time_s=sum(m.virtual_decision_time_s for m in ms)
+        / k,
     )
 
 
@@ -210,8 +517,6 @@ def figure_spec(
     figure_id: str, scale: str = "small", points: Optional[int] = None
 ) -> SweepSpec:
     """Resolve a figure id to its (possibly truncated) :class:`SweepSpec`."""
-    from dataclasses import replace
-
     from repro.experiments.figures import FIGURES
 
     try:
@@ -231,11 +536,18 @@ def run_figure(
     scale: str = "small",
     verbose: bool = False,
     points: Optional[int] = None,
-    cell_runner: Optional[CellRunner] = None,
+    jobs: int = 1,
+    cache: Optional[ResultCache] = None,
+    faults: Optional[FaultPlan] = None,
 ) -> Sweep:
     """Regenerate a paper figure by id (``"fig3"`` … ``"fig13"``).
 
-    ``points`` truncates the sweep to its first N working-set sizes.
+    ``points`` truncates the sweep to its first N working-set sizes;
+    ``faults`` overlays a deterministic fault-injection plan on every
+    cell (see :mod:`repro.simulator.faults`); ``jobs`` and ``cache`` are
+    passed to :func:`run_sweep`.
     """
     spec = figure_spec(figure_id, scale=scale, points=points)
-    return run_sweep(spec, verbose=verbose, cell_runner=cell_runner)
+    if faults is not None:
+        spec = replace(spec, faults=faults)
+    return run_sweep(spec, jobs=jobs, cache=cache, verbose=verbose)

@@ -39,6 +39,10 @@ class Measurement:
     makespan_s: float
     scheduling_time_s: float
     balance: float
+    #: modelled (virtual) decision latency summed over GPUs; unlike
+    #: ``scheduling_time_s`` it is deterministic, so decision-cost
+    #: claims read it rather than the host clock
+    virtual_decision_time_s: float
 
     #: fields tainted by host wall-clock timing of the static scheduling
     #: phase; everything else is deterministic in the seed
@@ -62,6 +66,7 @@ class Measurement:
             makespan_s=result.makespan,
             scheduling_time_s=result.scheduling_time,
             balance=result.balance_ratio(),
+            virtual_decision_time_s=result.virtual_decision_time,
         )
 
     def metric(self, name: str) -> float:

@@ -31,14 +31,6 @@ _FACTORIES: Dict[str, Callable[[], Scheduler]] = {
     "darts+opti": lambda: Darts(opti=True),
 }
 
-#: schedulers evicting with LUF rather than the default LRU
-_LUF_NAMES = {
-    "darts+luf",
-    "darts+luf-3inputs",
-    "darts+luf+opti",
-    "darts+luf+opti-3inputs",
-}
-
 SCHEDULER_NAMES = tuple(sorted(set(_FACTORIES) | {"darts+luf+threshold"}))
 
 
@@ -48,8 +40,7 @@ def _canon(name: str) -> str:
 
 def eviction_for(name: str) -> str:
     """Eviction policy the paper pairs with this strategy."""
-    canon = _canon(name)
-    if canon in _LUF_NAMES or canon.startswith("darts+luf"):
+    if _canon(name).startswith("darts+luf"):
         return "luf"
     return "lru"
 

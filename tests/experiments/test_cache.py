@@ -6,12 +6,11 @@ import pytest
 
 from repro.experiments.cache import (
     ResultCache,
-    cell_key,
     code_salt,
     graph_fingerprint,
     platform_fingerprint,
 )
-from repro.experiments.harness import SweepSpec, rep_seed, run_cell
+from repro.experiments.harness import SweepSpec, cell_key, rep_seed, run_cell
 from repro.metrics.collect import Measurement, Sweep
 from repro.platform.spec import BusSpec, GpuSpec, PlatformSpec, tesla_v100_node
 from repro.workloads.matmul2d import matmul2d
@@ -42,6 +41,7 @@ def sample_measurement(**overrides):
         makespan_s=0.0123456789,
         scheduling_time_s=3.14e-5,
         balance=1.0000000001,
+        virtual_decision_time_s=2.5e-4 / 3.0,
     )
     base.update(overrides)
     return Measurement(**base)
@@ -158,7 +158,7 @@ class TestResultCache:
         spec = tiny_spec()
         m = run_cell(spec, 4, "eager", 0)
         cache = ResultCache(tmp_path)
-        key = cache.key_for(spec, 4, "eager", 0)
+        key = cell_key(spec, 4, "eager", 0)
         cache.put(key, m)
         assert cache.get(key) == m
 

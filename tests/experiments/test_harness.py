@@ -1,10 +1,14 @@
 """Tests for the experiment harness and the figure registry."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.experiments.figures import FIGURES
+from repro.experiments.figures import FIGURES, Check, Gain
 from repro.experiments.harness import SweepSpec, run_figure, run_sweep
+from repro.metrics.collect import Measurement, Sweep
 from repro.platform.spec import tesla_v100_node
+from repro.schedulers.registry import make_scheduler
 from repro.workloads.matmul2d import matmul2d
 
 
@@ -95,6 +99,130 @@ class TestFigureRegistry:
         paper = cfg.platform_factory("paper")()
         assert small.gpus[0].memory_bytes == 250e6
         assert paper.gpus[0].memory_bytes == 500e6
+
+
+def point(scheduler, n, **fields):
+    """A hand-built measurement; unspecified values are 1."""
+    base = dict(
+        scheduler=scheduler,
+        n=n,
+        working_set_mb=float(n),
+        gflops=1.0,
+        gflops_with_sched=1.0,
+        transfers_mb=1.0,
+        loads=1,
+        evictions=0,
+        makespan_s=1.0,
+        scheduling_time_s=1.0,
+        balance=1.0,
+        virtual_decision_time_s=1.0,
+    )
+    base.update(fields)
+    return Measurement(**base)
+
+
+def produced_series(cfg):
+    """Series names a figure's sweep produces, without simulating."""
+    names = set()
+    for name in cfg.schedulers:
+        display = make_scheduler(name)[0].name
+        names.add(display)
+        if name in cfg.no_sched_time_variants:
+            names.add(f"{display} no sched. time")
+    return names
+
+
+def hand_sweep(series, base, rows):
+    """Points n = 1, 2, 3 of each series: ``base`` sets fields of every
+    point, ``rows[name][i]`` overrides point ``i`` of series ``name``."""
+    sweep = Sweep(title="hand-built")
+    sweep.reference_curves["PCI bus limit (MB)"] = [10.0, 10.0, 10.0]
+    for name in series:
+        for i, overrides in enumerate(rows.get(name, [{}, {}, {}])):
+            sweep.add(point(name, i + 1, **{**base, **overrides}))
+    return sweep
+
+
+OPTI = "DARTS+LUF+OPTI-3inputs"
+# (figure, index among its Checks, base fields, rows that hold, rows
+# that break the check, the value measured on the breaking sweep)
+POINTWISE = [
+    # EAGER over the PCI limit on one of the last 3 points
+    ("fig4", 0, {"transfers_mb": 5.0},
+     {"EAGER": [{}, {}, {"transfers_mb": 12.0}]}, {}, -5.0),
+    # DARTS+LUF never over it (touching it is allowed)
+    ("fig4", 1, {"transfers_mb": 10.0},
+     {}, {"DARTS+LUF": [{"transfers_mb": 11.0}, {}, {}]}, 1.0),
+    # traffic never below the working set
+    ("fig7", 0, {"working_set_mb": 10.0, "transfers_mb": 20.0},
+     {}, {"DARTS": [{}, {"transfers_mb": 5.0}, {}]}, 0.5),
+    # threshold makespan within 1.6x on the last 2 points
+    ("fig8", 0, {"makespan_s": 1.0},
+     {"DARTS+LUF+threshold": [{}, {"makespan_s": 1.5}, {"makespan_s": 1.5}]},
+     {"DARTS+LUF+threshold": [{}, {}, {"makespan_s": 2.0}]}, 2.0),
+    # only the modelled decision time decides: host time contradicts it
+    # in both sweeps
+    ("fig11", 0, {"virtual_decision_time_s": 1.0, "scheduling_time_s": 0.1},
+     {OPTI: [{"virtual_decision_time_s": 0.25, "scheduling_time_s": 1.0}] * 3},
+     {OPTI: [{"virtual_decision_time_s": 0.8, "scheduling_time_s": 0.0}] * 3},
+     0.8),
+    # zero evictions without a memory limit
+    ("fig13", 0, {"evictions": 0},
+     {}, {"DMDAR": [{}, {"evictions": 3}, {}]}, 3.0),
+]
+
+
+def pointwise_checks(cfg):
+    return [c for c in cfg.claims if isinstance(c, Check)]
+
+
+class TestFigureClaims:
+    def test_claims_read_series_the_figure_produces(self):
+        bad = []
+        for figure_id, cfg in sorted(FIGURES.items()):
+            produced = produced_series(cfg)
+            if not cfg.claims:
+                bad.append(f"{figure_id}: no claims")
+            for claim in cfg.claims:
+                if not claim.series or not set(claim.series) <= produced:
+                    bad.append(f"{figure_id}: {claim}")
+                if isinstance(claim, Gain):
+                    point("x", 1).metric(claim.metric)  # raises if unknown
+                    if not 1 <= claim.last_k <= len(cfg.ns_small):
+                        bad.append(f"{figure_id}: {claim}")
+            for k in range(len(pointwise_checks(cfg))):
+                if not any(c[:2] == (figure_id, k) for c in POINTWISE):
+                    bad.append(f"{figure_id}: Check {k} has no POINTWISE case")
+        assert not bad
+
+    def test_failed_claims_come_back_with_their_values(self):
+        sweep = Sweep(title="hand-built")
+        for n, a, b in [(4, 10.0, 5.0), (6, 10.0, 20.0)]:
+            sweep.add(point("A", n, gflops=a))
+            sweep.add(point("B", n, gflops=b, evictions=3))
+        holds = Gain("gflops", "A", "B", 1.2, last_k=2)  # (2 + 0.5) / 2
+        fails = Gain("gflops", "A", "B", 1.0, last_k=1)
+        evictions = Check(
+            "B never evicts",
+            ("B",),
+            lambda sweep, b: (sum(p.evictions for p in b.points), False),
+        )
+        cfg = replace(FIGURES["fig3"], claims=[holds, fails, evictions])
+        assert cfg.failed_claims(sweep) == [(fails, 0.5), (evictions, 6)]
+
+    @pytest.mark.parametrize(
+        "figure_id, k, base, holding, breaking, value",
+        POINTWISE,
+        ids=[f"{case[0]}-{case[1]}" for case in POINTWISE],
+    )
+    def test_pointwise_check_decides_on_its_series(
+        self, figure_id, k, base, holding, breaking, value
+    ):
+        check = pointwise_checks(FIGURES[figure_id])[k]
+        assert check.evaluate(hand_sweep(check.series, base, holding))[1]
+        cfg = replace(FIGURES[figure_id], claims=[check])
+        broken = hand_sweep(check.series, base, breaking)
+        assert cfg.failed_claims(broken) == [(check, pytest.approx(value))]
 
 
 class TestCli:

@@ -1,4 +1,4 @@
-"""Equivalence tests: parallel/cached execution vs the serial sweep."""
+"""Equivalence tests: pool/cached execution vs the in-process sweep."""
 
 import json
 
@@ -6,12 +6,12 @@ import pytest
 
 from repro.experiments import harness
 from repro.experiments.cache import ResultCache
-from repro.experiments.harness import SweepSpec, run_sweep
-from repro.experiments.parallel import (
+from repro.experiments.harness import (
     Cell,
-    default_jobs,
+    SweepSpec,
     enumerate_cells,
-    run_sweep_parallel,
+    run_sweep,
+    usable_cpus,
 )
 from repro.platform.spec import tesla_v100_node
 from repro.workloads.matmul2d import matmul2d
@@ -44,19 +44,19 @@ class TestParallelEquivalence:
     def test_parallel_equals_serial(self, jobs):
         spec = tiny_spec(repetitions=2, no_sched_time_variants=["eager"])
         serial = run_sweep(spec)
-        par = run_sweep_parallel(spec, jobs=jobs)
+        par = run_sweep(spec, jobs=jobs)
         assert_deterministically_equal(serial, par)
 
     def test_reference_lines_and_curves_match(self):
         spec = tiny_spec()
         serial = run_sweep(spec)
-        par = run_sweep_parallel(spec, jobs=2)
+        par = run_sweep(spec, jobs=2)
         assert serial.reference_lines == par.reference_lines
         assert serial.reference_curves == par.reference_curves
 
     def test_worker_counts_agree_with_each_other(self):
         spec = tiny_spec(schedulers=["eager", "dmdar", "darts+luf"])
-        sweeps = [run_sweep_parallel(spec, jobs=j) for j in (1, 2, 4)]
+        sweeps = [run_sweep(spec, jobs=j) for j in (1, 2, 4)]
         for other in sweeps[1:]:
             assert_deterministically_equal(sweeps[0], other)
 
@@ -70,8 +70,20 @@ class TestParallelEquivalence:
             for rep in range(2)
         ]
 
-    def test_default_jobs_positive(self):
-        assert default_jobs() >= 1
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_instance_built_once(self, jobs, tmp_path):
+        built = []
+
+        def workload(n):
+            built.append(n)
+            return matmul2d(n)
+
+        spec = tiny_spec(workload=workload)
+        run_sweep(spec, jobs=jobs, cache=ResultCache(tmp_path / "c"))
+        assert sorted(built) == sorted(spec.ns)
+
+    def test_usable_cpus_positive(self):
+        assert usable_cpus() >= 1
 
 
 class TestCacheEquivalence:
@@ -82,7 +94,7 @@ class TestCacheEquivalence:
         n_cells = len(enumerate_cells(spec))
 
         cold_cache = ResultCache(tmp_path / "cache")
-        cold = run_sweep_parallel(spec, jobs=1, cache=cold_cache)
+        cold = run_sweep(spec, jobs=1, cache=cold_cache)
         assert cold_cache.misses == n_cells
         assert cold_cache.hits == 0
 
@@ -96,7 +108,7 @@ class TestCacheEquivalence:
         monkeypatch.setattr(harness, "simulate", counting_simulate)
 
         warm_cache = ResultCache(tmp_path / "cache")
-        warm = run_sweep_parallel(spec, jobs=1, cache=warm_cache)
+        warm = run_sweep(spec, jobs=1, cache=warm_cache)
         assert calls["n"] == 0, "warm-cache rerun must not simulate"
         assert warm_cache.hits == n_cells
         assert warm_cache.misses == 0
@@ -115,7 +127,7 @@ class TestCacheEquivalence:
             return real_simulate(*args, **kwargs)
 
         monkeypatch.setattr(harness, "simulate", counting_simulate)
-        run_sweep_parallel(spec, jobs=1, cache=ResultCache(tmp_path / "c"))
+        run_sweep(spec, jobs=1, cache=ResultCache(tmp_path / "c"))
         assert calls["n"] == n_cells
 
     def test_partial_cache_only_computes_missing_cells(
@@ -123,7 +135,7 @@ class TestCacheEquivalence:
     ):
         cache_dir = tmp_path / "cache"
         narrow = tiny_spec(schedulers=["eager"])
-        run_sweep_parallel(narrow, jobs=1, cache=ResultCache(cache_dir))
+        run_sweep(narrow, jobs=1, cache=ResultCache(cache_dir))
 
         calls = {"n": 0}
         real_simulate = harness.simulate
@@ -135,7 +147,7 @@ class TestCacheEquivalence:
         monkeypatch.setattr(harness, "simulate", counting_simulate)
         wide = tiny_spec(schedulers=["eager", "darts+luf"])
         cache = ResultCache(cache_dir)
-        run_sweep_parallel(wide, jobs=1, cache=cache)
+        run_sweep(wide, jobs=1, cache=cache)
         # eager cells are reused; only the darts+luf cells simulate
         assert calls["n"] == len(wide.ns)
         assert cache.hits == len(wide.ns)
@@ -144,7 +156,7 @@ class TestCacheEquivalence:
     def test_cached_sweep_equals_uncached_serial(self, tmp_path):
         spec = tiny_spec()
         serial = run_sweep(spec)
-        cached = run_sweep_parallel(
+        cached = run_sweep(
             spec, jobs=2, cache=ResultCache(tmp_path / "c")
         )
         assert_deterministically_equal(serial, cached)

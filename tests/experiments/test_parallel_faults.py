@@ -1,10 +1,11 @@
-"""Fault tolerance of the parallel sweep executor.
+"""Fault tolerance of the sweep executor.
 
 Chaos contract: killing a pool worker mid-sweep (SIGKILL, as the OOM
-killer would) must yield a merged sweep byte-identical to the serial
-one — the affected cell is recomputed, not dropped.  A cell that fails
-persistently is excluded after ``max_attempts`` rounds, reported in the
-merge footer, and only cleanly completed cells ever reach the cache.
+killer would) must yield a merged sweep byte-identical to the in-process
+one — the affected cell is recomputed, not dropped.  On the pool, a cell
+that fails persistently is excluded after ``max_attempts`` rounds,
+reported in the merge footer, and only cleanly completed cells ever
+reach the cache.  In-process (``jobs=1``), a failing cell raises.
 """
 
 import os
@@ -13,13 +14,14 @@ import time
 
 import pytest
 
-import repro.experiments.parallel as parallel_mod
+from repro.experiments import harness
 from repro.experiments.cache import ResultCache
-from repro.experiments.harness import SweepSpec, run_cell, run_sweep
-from repro.experiments.parallel import (
-    enumerate_cells,
+from repro.experiments.harness import (
+    SweepSpec,
+    cell_key,
     fork_available,
-    run_sweep_parallel,
+    run_cell,
+    run_sweep,
 )
 from repro.platform.spec import tesla_v100_node
 from repro.simulator.faults import FaultPlan, StragglerSlowdown
@@ -64,9 +66,9 @@ class TestChaosRecovery:
         serial = run_sweep(spec)
         marker = str(tmp_path / "killed-once")
         monkeypatch.setattr(
-            parallel_mod, "run_cell", _chaotic_run_cell(marker, 6, "eager")
+            harness, "run_cell", _chaotic_run_cell(marker, 6, "eager")
         )
-        chaos = run_sweep_parallel(spec, jobs=2, retry_backoff=0.05)
+        chaos = run_sweep(spec, jobs=2, retry_backoff=0.05)
         assert os.path.exists(marker), "the chaos kill never fired"
         assert (
             serial.deterministic_dict() == chaos.deterministic_dict()
@@ -77,14 +79,14 @@ class TestChaosRecovery:
         spec = tiny_spec()
         marker = str(tmp_path / "killed-once")
         monkeypatch.setattr(
-            parallel_mod, "run_cell", _chaotic_run_cell(marker, 6, "eager")
+            harness, "run_cell", _chaotic_run_cell(marker, 6, "eager")
         )
         cache = ResultCache(tmp_path / "cache")
-        run_sweep_parallel(spec, jobs=2, cache=cache, retry_backoff=0.05)
+        run_sweep(spec, jobs=2, cache=cache, retry_backoff=0.05)
         # every cell completed cleanly in the end, so all are cached and
         # a warm rerun works from cache alone
         warm = ResultCache(tmp_path / "cache")
-        rerun = run_sweep_parallel(spec, jobs=1, cache=warm)
+        rerun = run_sweep(spec, jobs=1, cache=warm)
         assert warm.misses == 0
         assert rerun.deterministic_dict() == run_sweep(spec).deterministic_dict()
 
@@ -98,17 +100,15 @@ class TestExclusion:
 
         return broken
 
-    @pytest.mark.parametrize("jobs", [1, 2])
+    @needs_fork
     def test_persistent_failure_excluded_and_reported(
-        self, jobs, monkeypatch, capsys
+        self, monkeypatch, capsys
     ):
         spec = tiny_spec()
         monkeypatch.setattr(
-            parallel_mod, "run_cell", self._always_broken(6, "eager")
+            harness, "run_cell", self._always_broken(6, "eager")
         )
-        sweep = run_sweep_parallel(
-            spec, jobs=jobs, max_attempts=2, retry_backoff=0.01
-        )
+        sweep = run_sweep(spec, jobs=2, max_attempts=2, retry_backoff=0.01)
         out = capsys.readouterr().out
         assert "excluded" in out
         assert "n=6 eager" in out
@@ -119,19 +119,21 @@ class TestExclusion:
         )
         assert ns_by_series == [[4], [4, 6]]
 
+    @needs_fork
     def test_excluded_cell_not_cached(self, tmp_path, monkeypatch):
         spec = tiny_spec(schedulers=["eager"])
         monkeypatch.setattr(
-            parallel_mod, "run_cell", self._always_broken(6, "eager")
+            harness, "run_cell", self._always_broken(6, "eager")
         )
         cache = ResultCache(tmp_path / "cache")
-        run_sweep_parallel(
-            spec, jobs=1, cache=cache, max_attempts=2, retry_backoff=0.01
+        run_sweep(
+            spec, jobs=2, cache=cache, max_attempts=2, retry_backoff=0.01
         )
         # exactly one cell (n=4) completed; only it may be cached
         files = list((tmp_path / "cache").rglob("*.json"))
         assert len(files) == 1
 
+    @needs_fork
     def test_partial_average_uses_surviving_repetitions(self, monkeypatch):
         spec = tiny_spec(schedulers=["eager"], repetitions=2)
 
@@ -140,13 +142,22 @@ class TestExclusion:
                 raise RuntimeError("synthetic rep failure")
             return run_cell(spec_, n, name, rep, graph=graph)
 
-        monkeypatch.setattr(parallel_mod, "run_cell", flaky)
-        sweep = run_sweep_parallel(
-            spec, jobs=1, max_attempts=1, retry_backoff=0.01
-        )
+        monkeypatch.setattr(harness, "run_cell", flaky)
+        sweep = run_sweep(spec, jobs=2, max_attempts=1, retry_backoff=0.01)
         # n=6 still present, averaged over the single surviving rep
         ns = {p.n for s in sweep.series.values() for p in s.points}
         assert 6 in ns
+
+    def test_in_process_cell_failure_raises(self, tmp_path, monkeypatch):
+        spec = tiny_spec(schedulers=["eager"])
+        monkeypatch.setattr(
+            harness, "run_cell", self._always_broken(6, "eager")
+        )
+        cache = ResultCache(tmp_path / "cache")
+        with pytest.raises(RuntimeError, match="synthetic persistent"):
+            run_sweep(spec, jobs=1, cache=cache)
+        # the n=4 cell completed before the failure and stays cached
+        assert len(list((tmp_path / "cache").rglob("*.json"))) == 1
 
 
 def _pid_alive(pid):
@@ -178,8 +189,8 @@ class TestTimeout:
                 time.sleep(60.0)
             return run_cell(spec_, n, name, rep, graph=graph)
 
-        monkeypatch.setattr(parallel_mod, "run_cell", hanging)
-        sweep = run_sweep_parallel(
+        monkeypatch.setattr(harness, "run_cell", hanging)
+        sweep = run_sweep(
             spec,
             jobs=2,
             cell_timeout=1.5,
@@ -211,12 +222,10 @@ class TestFaultPlanThreading:
         plan = FaultPlan(stragglers=(StragglerSlowdown(gpu=0, factor=1.5),))
         spec = tiny_spec(faults=plan)
         serial = run_sweep(spec)
-        par = run_sweep_parallel(spec, jobs=2)
+        par = run_sweep(spec, jobs=2)
         assert serial.deterministic_dict() == par.deterministic_dict()
 
     def test_fault_plan_changes_cache_key(self, tmp_path):
-        from repro.experiments.cache import cell_key
-
         spec = tiny_spec()
         plan = FaultPlan(stragglers=(StragglerSlowdown(gpu=0, factor=1.5),))
         faulted = tiny_spec(faults=plan)

@@ -250,6 +250,7 @@ class TestRepetitionAveraging:
             makespan_s=2.0,
             scheduling_time_s=0.5,
             balance=1.0,
+            virtual_decision_time_s=0.25,
         )
         b = Measurement(
             scheduler="S",
@@ -263,6 +264,7 @@ class TestRepetitionAveraging:
             makespan_s=4.0,
             scheduling_time_s=1.5,
             balance=1.2,
+            virtual_decision_time_s=0.75,
         )
         avg = _average([a, b])
         assert avg.scheduler == "S" and avg.n == 4
@@ -275,6 +277,7 @@ class TestRepetitionAveraging:
         assert avg.makespan_s == (2.0 + 4.0) / 2
         assert avg.scheduling_time_s == (0.5 + 1.5) / 2
         assert avg.balance == (1.0 + 1.2) / 2
+        assert avg.virtual_decision_time_s == (0.25 + 0.75) / 2
 
     def test_average_of_single_measurement_is_identity(self):
         from repro.experiments.harness import _average
@@ -292,6 +295,7 @@ class TestRepetitionAveraging:
             makespan_s=1.0,
             scheduling_time_s=1.0,
             balance=1.0,
+            virtual_decision_time_s=1.0,
         )
         assert _average([m]) is m
 

@@ -136,7 +136,7 @@ class TestInjectedPinnedEviction:
 
     def test_leaky_candidate_set_detected_in_full_run(self, monkeypatch):
         """Mid-simulation injection: pins that are never released pile up
-        until MRU, fed a candidate set leaking pinned entries, evicts a
+        until LRU, fed a candidate set leaking pinned entries, evicts a
         pinned datum — the sanitizer stops the run with SAN003."""
         real = DeviceMemory.evictable
 
@@ -156,7 +156,7 @@ class TestInjectedPinnedEviction:
                 small_graph(),
                 toy_platform(n_gpus=1, memory=3.0),
                 Eager(),
-                eviction="mru",
+                eviction="lru",
                 sanitize=True,
             )
 
