@@ -4,7 +4,9 @@
 ``repro.experiments.figures``), times the regeneration with
 pytest-benchmark and records its series table; the ablations record
 theirs too.  Tables are emitted in the terminal summary (so they survive
-output capture and land in ``bench_output.txt``) and mirrored to
+output capture and land in ``bench_output.txt``) and written to the
+git-ignored ``benchmarks/out/``: their host-timed columns differ on
+every run.  A change that moves results copies them into the committed
 ``benchmarks/results/``.
 """
 
@@ -15,14 +17,14 @@ from typing import Dict
 
 _TABLES: Dict[str, str] = {}
 
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
 
 
 def record_table(name: str, text: str) -> None:
     """Register a figure's series table for the terminal summary."""
     _TABLES[name] = text
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    with open(os.path.join(RESULTS_DIR, f"{name}.txt"), "w") as fh:
+    os.makedirs(OUT_DIR, exist_ok=True)
+    with open(os.path.join(OUT_DIR, f"{name}.txt"), "w") as fh:
         fh.write(text + "\n")
 
 

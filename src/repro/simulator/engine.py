@@ -5,7 +5,8 @@ number makes simultaneous events fire in scheduling order, so a run is a
 pure function of its inputs — the property every test and every
 "same seed ⇒ same trace" guarantee in this package rests on.
 
-Performance notes (profile-guided; see ``benchmarks/bench_core.py``):
+Performance notes (profile-guided; perfbench's ``engine.*`` metrics
+measure this layer):
 
 * Heap items are plain tuples keyed on ``(time, seq)``; because every
   ``seq`` is unique the comparison never falls through to the payload,

@@ -76,7 +76,6 @@ class PeerFabric(TransferRouter):
         # statistics
         self.bytes_from_host: float = 0.0
         self.bytes_from_peer: float = 0.0
-        self.peer_transfers: int = 0
 
     def attach(self, memories: Sequence[object]) -> None:
         """Wire the per-GPU memories (the kernel calls this once)."""
@@ -134,7 +133,6 @@ class PeerFabric(TransferRouter):
         src_mem = self._memories[src]
         src_mem.pin(data_id)
         self.bytes_from_peer += size
-        self.peer_transfers += 1
         record = _PeerCopy(src, dst, data_id, size)
         self._inflight.append(record)
         events = self.events

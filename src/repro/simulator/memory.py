@@ -154,9 +154,6 @@ class DeviceMemory:
     def is_present(self, d: int) -> bool:
         return self._state.get(d) is DataState.PRESENT
 
-    def is_fetching(self, d: int) -> bool:
-        return self._state.get(d) is DataState.FETCHING
-
     def is_evicting(self, d: int) -> bool:
         """Whether ``d`` is mid-eviction (unsafe as a peer-copy source)."""
         return d in self._evicting

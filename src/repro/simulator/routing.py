@@ -58,15 +58,6 @@ class TransferRouter:
         """
         raise NotImplementedError
 
-    @property
-    def bytes_transferred(self) -> float:
-        return self.bytes_from_host + self.bytes_from_peer
-
-    def peer_fraction(self) -> float:
-        """Share of traffic served by peer links instead of the host."""
-        total = self.bytes_transferred
-        return self.bytes_from_peer / total if total > 0 else 0.0
-
 
 class HostRouter(TransferRouter):
     """Trivial router: every transfer goes over the one wrapped bus.
