@@ -111,7 +111,13 @@ STATIC_DIGESTS = (
 
 #: Blocks of ``BENCH_core.json`` recorded by hand (before/after pairs of
 #: past speedups, tier-1 wall time) that a re-recording carries over.
-HISTORY = ("paper_scale", "paper_scale_fig11", "static_phases", "tier1")
+HISTORY = (
+    "paper_scale",
+    "paper_scale_fig11",
+    "runtime_floor",
+    "static_phases",
+    "tier1",
+)
 
 
 def calibrate() -> float:

@@ -116,6 +116,12 @@ class Darts(Scheduler):
             else None
         )
         self._build_index()
+        #: per GPU, ``Σ _n_users[d]`` over ``_data_not_in_mem[g]``: the
+        #: ops the full scan charges, kept at every add and discard
+        #: instead of summed per refill
+        self._scan_charge: List[int] = [
+            sum(self._n_users) for _ in range(view.n_gpus)
+        ]
 
     # ------------------------------------------------------------------
     # incremental free-task index
@@ -146,8 +152,9 @@ class Darts(Scheduler):
     # of every unowned one.  Dependency release is filtered at query time
     # (``is_released`` flips as tasks finish, without any per-datum
     # event).  ``_n_users[d]`` is ``len(users_of(d))``, the ops a scan
-    # charges per datum visited.  ``check_index`` asserts equality with
-    # a fresh rescan.
+    # charges per datum visited, and ``_scan_charge[g]`` their sum over
+    # ``_data_not_in_mem[g]``.  ``check_index`` asserts equality with a
+    # fresh rescan.
     def _build_index(self) -> None:
         view = self.view
         graph = view.graph
@@ -231,6 +238,10 @@ class Darts(Scheduler):
                     f"{[t for t, f in enumerate(self._two_missing[g]) if f]}"
                     f" != {[t for t, f in enumerate(two) if f]}"
                 )
+            charge = sum(self._n_users[d] for d in self._data_not_in_mem[g])
+            assert self._scan_charge[g] == charge, (
+                f"gpu{g}: scan_charge {self._scan_charge[g]} != {charge}"
+            )
         if self._scan_order is not None:
             ru = self._remaining_users
             assert self._scan_order == sorted(
@@ -264,7 +275,10 @@ class Darts(Scheduler):
         # on_data_evicted re-adds it the moment it leaves the held
         # set.  The only other way a held set shrinks is
         # DeviceMemory.fail(), and a dead GPU is never refilled.
-        not_in_mem -= not_in_mem & inmem
+        stale = not_in_mem & inmem
+        if stale:
+            not_in_mem -= stale
+            self._scan_charge[gpu] -= sum(map(self._n_users.__getitem__, stale))
         if order is None or (
             not self._threshold_active and not_in_mem.isdisjoint(idx)
         ):
@@ -273,7 +287,7 @@ class Darts(Scheduler):
             # none of them keys an index entry.  Only such data can have
             # ``n(D) > 0``; candidate order is irrelevant, since
             # ``_select_candidate`` sorts.
-            self.charge_ops(sum(map(self._n_users.__getitem__, not_in_mem)))
+            self.charge_ops(self._scan_charge[gpu])
             n_free: Dict[int, int] = {}
             for d, s in idx.items():
                 if d in not_in_mem:
@@ -320,7 +334,7 @@ class Darts(Scheduler):
                 self._unowned.discard(t)
                 self._index_remove_task(t)
                 planned.append(t)
-            not_in_mem.discard(d_opt)
+            self._discard_missing(gpu, d_opt)
             return planned.popleft()
 
         # No datum unlocks a task with a single load.
@@ -389,7 +403,14 @@ class Darts(Scheduler):
         self._unowned.discard(task)
         self._index_remove_task(task)
         for d in self.view.graph.inputs_of(task):
-            self._data_not_in_mem[gpu].discard(d)
+            self._discard_missing(gpu, d)
+
+    def _discard_missing(self, gpu: int, d: int) -> None:
+        """Drop ``d`` from ``dataNotInMem_gpu``, keeping its charge."""
+        not_in_mem = self._data_not_in_mem[gpu]
+        if d in not_in_mem:
+            not_in_mem.remove(d)
+            self._scan_charge[gpu] -= self._n_users[d]
 
     # ------------------------------------------------------------------
     # notifications
@@ -406,7 +427,7 @@ class Darts(Scheduler):
             ru[d] -= 1
 
     def on_data_loaded(self, gpu: int, data_id: int) -> None:
-        self._data_not_in_mem[gpu].discard(data_id)
+        self._discard_missing(gpu, data_id)
 
     def on_fetch_issued(self, gpu: int, data_id: int) -> None:
         """``data_id`` joins ``gpu``'s held-set: one less missing input
@@ -451,7 +472,10 @@ class Darts(Scheduler):
 
     def on_data_evicted(self, gpu: int, data_id: int) -> None:
         """Algorithm 6 line 8: un-reserve planned tasks needing the victim."""
-        self._data_not_in_mem[gpu].add(data_id)
+        not_in_mem = self._data_not_in_mem[gpu]
+        if data_id not in not_in_mem:
+            not_in_mem.add(data_id)
+            self._scan_charge[gpu] += self._n_users[data_id]
         graph = self.view.graph
         mc = self._miss_count[gpu]
         ms = self._miss_sum[gpu]

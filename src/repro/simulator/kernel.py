@@ -25,6 +25,14 @@ contract: sanitizer first (violations fire before anything else
 processes the event), then trace, then stats, then control — this
 reproduces the exact interleaving the pre-refactor runtime hard-coded,
 so same-seed trace digests are byte-identical across the split.
+
+Control reaches the workers through *pokes*: a poke of GPU ``k`` tops
+up its task buffer and tries to start its head task.  A fetch
+completion or a decision-gate expiry pokes its own GPU; a task
+completion or a write-back pokes every GPU through :meth:`_poke_all`,
+which skips only the GPUs whose poke provably does nothing (a full
+buffer, and the GPU executing or its head still waiting on the inputs
+it waited on at its last start attempt).
 """
 
 from __future__ import annotations
@@ -336,7 +344,27 @@ class RuntimeKernel:
     # worker state machine
     # ------------------------------------------------------------------
     def _poke_all(self) -> None:
-        for k in range(self.platform.n_gpus):
+        """Poke every GPU, in id order, whose poke can do something.
+
+        A poke of a full buffer pulls no task, so it can only start the
+        head task.  It cannot while the GPU executes, nor while the head
+        still waits on the inputs it waited on when ``try_start`` stamped
+        it: the stamp's load and eviction counts are unchanged, so every
+        input present then is present now, and every other one is still
+        fetching or queued, which makes its re-request a no-op.  Such
+        GPUs are skipped; the rest are poked as before.  Direct pokes
+        (fetch completions, gate expiries) always run.
+        """
+        window = self.window
+        for k, w in enumerate(self.workers):
+            if len(w.buffer) >= window:
+                mem = self.memories[k]
+                if w.executing is not None or w.blocked == (
+                    w.buffer[0],
+                    mem.n_loads,
+                    mem.n_evictions,
+                ):
+                    continue
             self._poke(k)
 
     def _poke(self, gpu: int) -> None:
@@ -390,6 +418,8 @@ class RuntimeKernel:
             w.executing = None
         requeued.extend(w.buffer)
         w.buffer.clear()
+        w.footprint.clear()
+        w.footprint_bytes = 0.0
         if w.staged is not None:
             requeued.append(w.staged)
             w.staged = None

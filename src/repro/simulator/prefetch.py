@@ -7,7 +7,10 @@ fetches that overlap with execution.  It owns two policies:
 * **admission control** — the union of input/output footprints of the
   executing plus buffered tasks must fit in GPU memory, which is what
   guarantees the simulation can always make progress; a task that does
-  not fit is *staged* and retried on the next poke;
+  not fit is *staged* and retried on the next poke.  The union is kept
+  per GPU as datum counts (``WorkerState.footprint``) updated when a
+  task is admitted and when it completes, so a decision sums only the
+  new task's data;
 * **decision-cost gating** — scheduler decisions run sequentially on a
   per-GPU virtual scheduler thread; the decided task cannot start
   before its decision completes (op-count × ``decision_op_cost``).
@@ -20,7 +23,7 @@ without subscribers pay nothing).
 from __future__ import annotations
 
 import time as _time
-from typing import TYPE_CHECKING, Set
+from typing import TYPE_CHECKING
 
 from repro.simulator.events import DecisionMade
 from repro.simulator.memory import MemoryFullError
@@ -83,27 +86,47 @@ class Prefetcher:
                 k.memories[gpu].request(d, protected=protected)
 
     def admit(self, gpu: int, task: int) -> bool:
-        """Admission control: buffered footprints must fit in memory."""
+        """Admission control: buffered footprints must fit in memory.
+
+        The union of the executing and buffered tasks' data is kept in
+        ``WorkerState.footprint``, so only ``task``'s data not already
+        in it add bytes.  An admitted task joins the footprint; its
+        caller buffers it.
+        """
         k = self.kernel
         w = k.workers[gpu]
-        active = list(w.buffer)
-        if w.executing is not None:
-            active.append(w.executing)
         tk = k.graph.tasks[task]
-        footprint: Set[int] = set(tk.inputs) | set(tk.outputs)
-        for t in active:
-            other = k.graph.tasks[t]
-            footprint.update(other.inputs)
-            footprint.update(other.outputs)
-        need = sum(k.sizes[d] for d in footprint)
-        if need <= k.memories[gpu].capacity:
-            return True
-        if not active:
-            raise MemoryFullError(
-                f"task {task} alone needs {need:.0f}B on GPU {gpu} "
-                f"(capacity {k.memories[gpu].capacity:.0f}B)"
-            )
-        return False
+        data = dict.fromkeys(tk.inputs + tk.outputs)
+        footprint = w.footprint
+        sizes = k.sizes
+        need = w.footprint_bytes + sum(
+            sizes[d] for d in data if d not in footprint
+        )
+        if need > k.memories[gpu].capacity:
+            if not footprint:
+                raise MemoryFullError(
+                    f"task {task} alone needs {need:.0f}B on GPU {gpu} "
+                    f"(capacity {k.memories[gpu].capacity:.0f}B)"
+                )
+            return False
+        for d in data:
+            footprint[d] = footprint.get(d, 0) + 1
+        w.footprint_bytes = need
+        return True
+
+    def release(self, gpu: int, task: int) -> None:
+        """``task`` finished on ``gpu``: drop it from the footprint."""
+        k = self.kernel
+        w = k.workers[gpu]
+        tk = k.graph.tasks[task]
+        footprint = w.footprint
+        for d in dict.fromkeys(tk.inputs + tk.outputs):
+            n = footprint[d] - 1
+            if n:
+                footprint[d] = n
+            else:
+                del footprint[d]
+                w.footprint_bytes -= k.sizes[d]
 
 
 __all__ = ["Prefetcher"]

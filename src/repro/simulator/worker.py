@@ -5,7 +5,10 @@ bounded task buffer (the paper's ``taskBuffer_k``), the currently
 executing task, a task staged by admission control, and the decision
 gate bookkeeping.  The worker starts the head task once all its inputs
 are resident (pinning them for the duration), completes it, hands
-outputs to the write-back channel, and notifies the scheduler.
+outputs to the write-back channel, and notifies the scheduler.  When
+the head task waits on inputs, the worker stamps it with its memory's
+load and eviction counts; while the stamp still matches, the kernel's
+``_poke_all`` knows a poke of a full buffer would change nothing.
 
 Workers publish :class:`~repro.simulator.events.TaskStarted`,
 :class:`~repro.simulator.events.TaskCompleted` and
@@ -19,7 +22,7 @@ from __future__ import annotations
 import time as _time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Deque, Optional
+from typing import TYPE_CHECKING, Deque, Dict, Optional, Tuple
 
 from repro.simulator.engine import EventHandle
 from repro.simulator.events import TaskCompleted, TaskStarted, WriteBackStarted
@@ -44,6 +47,14 @@ class WorkerState:
     #: completion event of the executing task — cancelled when the
     #: device fails so a dead GPU never reports a task done
     exec_event: Optional[EventHandle] = None
+    #: datum → number of executing and buffered tasks reading or writing
+    #: it: the union admission control checks, kept as tasks come and go
+    footprint: Dict[int, int] = field(default_factory=dict)
+    #: bytes of the data in ``footprint``
+    footprint_bytes: float = 0.0
+    #: ``(head, n_loads, n_evictions)`` taken when the head task was last
+    #: found waiting on its inputs (see :meth:`Worker.try_start`)
+    blocked: Optional[Tuple[int, int, int]] = None
 
 
 class Worker:
@@ -76,6 +87,10 @@ class Worker:
         mem = k.memories[gpu]
         inputs = k.graph.inputs_of(head)
         outputs = k.graph.outputs_of(head)
+        # Taken before the re-requests, which may evict an input checked
+        # earlier in the loop: only an unchanged stamp proves nothing
+        # moved since this check.
+        stamp = (head, mem.n_loads, mem.n_evictions)
         ready = True
         for d in inputs:
             if not mem.is_present(d):
@@ -84,6 +99,7 @@ class Worker:
                 mem.request(d, protected=inputs)
                 ready = False
         if not ready:
+            w.blocked = stamp
             return
         protected = tuple(inputs) + tuple(outputs)
         for o in outputs:
@@ -148,6 +164,7 @@ class Worker:
                 lambda oo=o: k._store_done(gpu, oo),
             )
         w.executing = None
+        k.prefetcher.release(gpu, task)
         k.executed_order[gpu].append(task)
         if k.events.wants(TaskCompleted):
             k.events.publish(
@@ -173,7 +190,8 @@ class Worker:
         k.scheduler.task_done(gpu, task)
         k._decision_time += _time.perf_counter() - t0
 
-        # Completion may unblock anyone (stealing, DARTS refills, fetches).
+        # Completion may unblock anyone (stealing, DARTS refills, fetches);
+        # _poke_all skips only the GPUs it provably cannot unblock.
         k._poke_all()
 
 

@@ -13,6 +13,7 @@ charge (see DESIGN.md, "Modeled cost vs implementation speed").
 import hashlib
 import json
 import random
+from unittest import mock
 
 import pytest
 
@@ -22,7 +23,9 @@ from repro.partitioning.interface import partition_tasks
 from repro.platform.spec import tesla_v100_node
 from repro.schedulers.hfp import balance_packages, hfp_pack
 from repro.schedulers.registry import make_scheduler
+from repro.simulator.prefetch import Prefetcher
 from repro.simulator.runtime import simulate
+from repro.simulator.worker import Worker
 from repro.workloads import matmul2d
 
 #: (scheduler, n) -> (virtual_decision_time, makespan), fig5 spec, rep 0,
@@ -138,6 +141,17 @@ PACK_PINS = {
 }
 
 
+#: scheduler -> exact ``(Worker.try_start, Prefetcher.fill_buffer)``
+#: calls on fig8 small n=40 (1 600 tasks, 4 GPUs), rep 0.  Poking every
+#: GPU after every completion and write-back made (6 614, 8 214) for
+#: EAGER and (6 608, 8 208) for DMDAR; ``RuntimeKernel._poke_all`` now
+#: skips a GPU whose poke provably does nothing.
+POKE_PINS = {
+    "eager": (1844, 3444),
+    "dmdar": (1838, 3438),
+}
+
+
 def _digest(task_lists) -> str:
     return hashlib.sha256(json.dumps(task_lists).encode()).hexdigest()
 
@@ -221,6 +235,40 @@ class TestDecisionCostPins:
         assert (result.virtual_decision_time, result.makespan) == (
             DAG_PINS[scheduler]
         ), f"cholesky dag {scheduler}: a decision or charge_ops site changed"
+
+
+class TestRuntimeCallPins:
+    @pytest.mark.parametrize("scheduler", sorted(POKE_PINS))
+    def test_pokes_per_task_exact(self, scheduler):
+        """A return to poking every GPU (or any new poke) fails here."""
+        spec = figure_spec("fig8", scale="small")
+        sched, eviction = make_scheduler(scheduler)
+        calls = {"try_start": 0, "fill_buffer": 0}
+        try_start, fill_buffer = Worker.try_start, Prefetcher.fill_buffer
+
+        def counting_try_start(self):
+            calls["try_start"] += 1
+            try_start(self)
+
+        def counting_fill_buffer(self, gpu):
+            calls["fill_buffer"] += 1
+            fill_buffer(self, gpu)
+
+        with mock.patch.object(
+            Worker, "try_start", counting_try_start
+        ), mock.patch.object(Prefetcher, "fill_buffer", counting_fill_buffer):
+            result = simulate(
+                spec.workload(40),
+                spec.platform(),
+                sched,
+                eviction=eviction,
+                window=spec.window,
+                seed=rep_seed(spec.seed, scheduler, 40, 0),
+            )
+        assert sum(g.n_tasks for g in result.gpus) == 1600
+        assert (calls["try_start"], calls["fill_buffer"]) == (
+            POKE_PINS[scheduler]
+        ), f"fig8 n=40 {scheduler}: pokes changed {calls}"
 
 
 class TestStaticPhasePins:

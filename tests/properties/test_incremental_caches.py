@@ -162,9 +162,10 @@ def reference_two_load(sched, gpu):
 
 
 class _CheckedDarts(Darts):
-    """DARTS that re-verifies its free-task index on every memory event
-    and every refill against :func:`reference_scan` and, for the 3inputs
-    fallback, :func:`reference_two_load`."""
+    """DARTS that re-verifies its free-task index and its kept full-scan
+    charge on every memory event and every refill against
+    :func:`reference_scan` and, for the 3inputs fallback,
+    :func:`reference_two_load`."""
 
     #: fallback choices checked while the released filter skipped a task
     filtered_fallbacks = 0
@@ -175,6 +176,10 @@ class _CheckedDarts(Darts):
 
     def on_data_evicted(self, gpu, data_id):
         super().on_data_evicted(gpu, data_id)
+        self.check_index()
+
+    def on_data_loaded(self, gpu, data_id):
+        super().on_data_loaded(gpu, data_id)
         self.check_index()
 
     def next_task(self, gpu):
@@ -382,6 +387,28 @@ class TestSchedulerCachesMatchRecompute:
             seed=seed,
             dependencies=deps,
         )
+        executed = sorted(t for o in result.executed_order for t in o)
+        assert executed == list(range(graph.n_tasks))
+
+    @pytest.mark.parametrize("variant", sorted(DARTS_VARIANTS))
+    @given(case=graph_case(), fail_at=st.floats(0.0, 0.9))
+    @settings(max_examples=20, deadline=None)
+    def test_darts_index_after_device_failure(self, variant, case, fail_at):
+        """A device failure returns the dead GPU's tasks to the pool;
+        the survivors' index and scan charge stay exact."""
+        graph, memory, n_gpus, window, seed = case
+        platform = toy_platform(n_gpus=n_gpus + 1, memory=memory, bandwidth=5.0)
+        base = simulate(graph, platform, Darts(), window=window, seed=seed)
+        fail_time = fail_at * base.makespan
+        plan = FaultPlan(
+            device_failures=(DeviceFailure(gpu=0, time=fail_time),)
+        )
+        sched = _CheckedDarts(**DARTS_VARIANTS[variant])
+        result = simulate(
+            graph, platform, sched, window=window, seed=seed, faults=plan
+        )
+        if fail_time < result.makespan:
+            assert sched._dead_gpus == {0}, "the failure must fire"
         executed = sorted(t for o in result.executed_order for t in o)
         assert executed == list(range(graph.n_tasks))
 
