@@ -56,15 +56,10 @@ SIMULATED_PACKAGES: Tuple[str, ...] = (
     "repro.partitioning",
 )
 
-#: modules allowed to read ``time.perf_counter`` — the scheduling-cost
-#: wall-clock measurement sites (a diagnostic, never fed back into the
-#: simulation; see ``RunResult.decision_wall_time``).  These are the
-#: runtime-kernel layers that time scheduler calls.
-PERF_COUNTER_WHITELIST: Tuple[str, ...] = (
-    "repro.simulator.kernel",
-    "repro.simulator.prefetch",
-    "repro.simulator.worker",
-)
+#: modules allowed to read ``time.perf_counter`` inside simulated
+#: paths: the kernel times ``Scheduler.prepare`` (``RunResult.prepare_time``,
+#: never fed back into the simulation).
+PERF_COUNTER_WHITELIST: Tuple[str, ...] = ("repro.simulator.kernel",)
 
 
 def _in_simulated_path(module: str) -> bool:
@@ -176,15 +171,15 @@ class WallClockRule(Rule):
     ``time.time()`` / ``datetime.now()`` are forbidden everywhere in the
     package (measure elapsed wall time with ``time.perf_counter()``);
     ``perf_counter`` itself is additionally forbidden inside simulated
-    code paths, except the whitelisted scheduling-cost measurement sites
-    in the runtime-kernel layers (:data:`PERF_COUNTER_WHITELIST`).
+    code paths, except the kernel's timing of the static scheduling
+    phase (:data:`PERF_COUNTER_WHITELIST`).
     """
 
     code = "DET002"
     name = "wall-clock"
     description = (
         "no time.time()/datetime.now(); perf_counter only outside "
-        "simulated paths (runtime-kernel layers whitelisted)"
+        "simulated paths (the runtime kernel whitelisted)"
     )
 
     _BANNED_TIME = {"time", "time_ns", "clock"}

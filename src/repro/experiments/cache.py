@@ -45,8 +45,8 @@ from repro.platform.spec import BusSpec, PlatformSpec
 DEFAULT_CACHE_DIR = ".repro-cache"
 
 #: bump when the on-disk entry format changes (2: ``Measurement`` gained
-#: ``virtual_decision_time_s``)
-CACHE_FORMAT_VERSION = 2
+#: ``virtual_decision_time_s``; 3: it lost ``scheduling_time_s``)
+CACHE_FORMAT_VERSION = 3
 
 
 @lru_cache(maxsize=1)

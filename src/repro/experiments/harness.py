@@ -23,9 +23,9 @@ the other.  Where fork is unavailable the cells run in-process.
 Determinism contract: every simulation-derived quantity (throughput,
 transfers, loads, evictions, makespan, balance, modelled decision time,
 series order) is bit-identical for any worker count — compare with
-``Sweep.deterministic_dict()``.  The two wall-clock fields
-(``Measurement.WALL_CLOCK_FIELDS``: static scheduling time and the
-throughput charged with it) are *host measurements* and jitter between
+``Sweep.deterministic_dict()``.  The wall-clock field
+(``Measurement.WALL_CLOCK_FIELDS``: the throughput charged with the
+static phase's host time) is a *host measurement* and jitters between
 any two runs; serving cells from a shared cache freezes them too,
 making warm reruns byte-identical end to end.
 
@@ -484,7 +484,6 @@ def _assemble(
                         m,
                         scheduler=f"{m.scheduler} no sched. time",
                         gflops_with_sched=m.gflops,
-                        scheduling_time_s=0.0,
                     )
                 )
     sweep.reference_curves["PCI bus limit (MB)"] = pci_curve
@@ -506,7 +505,6 @@ def _average(ms: List[Measurement]) -> Measurement:
         loads=round(sum(m.loads for m in ms) / k),
         evictions=round(sum(m.evictions for m in ms) / k),
         makespan_s=sum(m.makespan_s for m in ms) / k,
-        scheduling_time_s=sum(m.scheduling_time_s for m in ms) / k,
         balance=sum(m.balance for m in ms) / k,
         virtual_decision_time_s=sum(m.virtual_decision_time_s for m in ms)
         / k,

@@ -37,17 +37,16 @@ class Measurement:
     loads: int
     evictions: int
     makespan_s: float
-    scheduling_time_s: float
     balance: float
-    #: modelled (virtual) decision latency summed over GPUs; unlike
-    #: ``scheduling_time_s`` it is deterministic, so decision-cost
-    #: claims read it rather than the host clock
+    #: modelled (virtual) decision latency summed over GPUs; it is
+    #: deterministic, so decision-cost claims read it rather than the
+    #: host clock
     virtual_decision_time_s: float
 
     #: fields tainted by host wall-clock timing of the static scheduling
     #: phase; everything else is deterministic in the seed
     WALL_CLOCK_FIELDS: ClassVar[FrozenSet[str]] = frozenset(
-        {"gflops_with_sched", "scheduling_time_s"}
+        {"gflops_with_sched"}
     )
 
     @classmethod
@@ -64,7 +63,6 @@ class Measurement:
             loads=result.total_loads,
             evictions=result.total_evictions,
             makespan_s=result.makespan,
-            scheduling_time_s=result.scheduling_time,
             balance=result.balance_ratio(),
             virtual_decision_time_s=result.virtual_decision_time,
         )
@@ -83,7 +81,8 @@ class Measurement:
 
     # ------------------------------------------------------------------
     # JSON round-trip (lossless: json floats carry full repr precision,
-    # so ``from_dict(json.loads(json.dumps(to_dict())))`` is identity)
+    # so ``from_dict(json.loads(json.dumps(to_dict())))`` is identity);
+    # the sweep cache stores one Measurement per cell
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -127,13 +126,6 @@ class Series:
             "scheduler": self.scheduler,
             "points": [p.to_dict() for p in self.points],
         }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "Series":
-        return cls(
-            scheduler=d["scheduler"],
-            points=[Measurement.from_dict(p) for p in d["points"]],
-        )
 
 
 @dataclass
@@ -202,15 +194,3 @@ class Sweep:
                 k: list(v) for k, v in self.reference_curves.items()
             },
         }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "Sweep":
-        sweep = cls(title=d["title"])
-        for sd in d["series"]:
-            series = Series.from_dict(sd)
-            sweep.series[series.scheduler] = series
-        sweep.reference_lines = dict(d["reference_lines"])
-        sweep.reference_curves = {
-            k: list(v) for k, v in d["reference_curves"].items()
-        }
-        return sweep

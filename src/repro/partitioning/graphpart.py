@@ -11,12 +11,11 @@ hypergraph-vs-graph ablation isolates the *model*, not the optimizer.
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import Optional
 
 from repro.core.problem import TaskGraph
-from repro.partitioning.bisection import partition_kway
 from repro.partitioning.hypergraph import Hypergraph
-from repro.partitioning.interface import PartitionResult, cut_weight
+from repro.partitioning.interface import PartitionResult, kway_task_partition
 
 
 def clique_graph_partition(
@@ -28,10 +27,8 @@ def clique_graph_partition(
     use_flops_weights: bool = True,
 ) -> PartitionResult:
     """Partition via the pairwise-shared-weight graph of §IV-B."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     edges = graph.clique_expansion()
-    nets = [pair for pair in edges]
+    nets = list(edges)
     weights = [edges[pair] for pair in nets]
     vwgt = (
         [t.flops for t in graph.tasks]
@@ -39,15 +36,4 @@ def clique_graph_partition(
         else [1.0] * graph.n_tasks
     )
     h = Hypergraph(graph.n_tasks, vwgt, nets, weights)
-    labels = partition_kway(h, k, ubfactor=ubfactor, nruns=nruns, rng=rng)
-    parts: List[List[int]] = [[] for _ in range(k)]
-    for t in range(graph.n_tasks):
-        parts[labels[t]].append(t)
-    flops = [
-        sum(graph.tasks[t].flops for t in p) if p else 0.0 for p in parts
-    ]
-    avg = sum(flops) / k
-    imbalance = (max(flops) / avg) if avg > 0 else 1.0
-    return PartitionResult(
-        parts=parts, cut_bytes=cut_weight(graph, parts), imbalance=imbalance
-    )
+    return kway_task_partition(graph, h, k, ubfactor, nruns, rng)

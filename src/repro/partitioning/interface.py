@@ -60,19 +60,29 @@ def partition_tasks(
     Nruns = 20 there; ``nruns`` trades quality for partitioning time,
     which the paper shows is itself a significant cost).
     """
+    h = Hypergraph.from_taskgraph(graph, use_flops_weights=use_flops_weights)
+    return kway_task_partition(graph, h, k, ubfactor, nruns, rng)
+
+
+def kway_task_partition(
+    graph: TaskGraph,
+    h: Hypergraph,
+    k: int,
+    ubfactor: float,
+    nruns: int,
+    rng: Optional[random.Random],
+) -> PartitionResult:
+    """Partition ``h``, whose vertex ``t`` is task ``t`` of ``graph``,
+    into ``k`` submission-ordered parts scored on ``graph``."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    h = Hypergraph.from_taskgraph(graph, use_flops_weights=use_flops_weights)
     labels = partition_kway(h, k, ubfactor=ubfactor, nruns=nruns, rng=rng)
     parts: List[List[int]] = [[] for _ in range(k)]
     for t in range(graph.n_tasks):  # submission order within parts
         parts[labels[t]].append(t)
-
-    weights = [
-        sum(graph.tasks[t].flops for t in p) if p else 0.0 for p in parts
-    ]
-    avg = sum(weights) / k
-    imbalance = (max(weights) / avg) if avg > 0 else 1.0
+    flops = [sum(graph.tasks[t].flops for t in p) for p in parts]
+    avg = sum(flops) / k
+    imbalance = (max(flops) / avg) if avg > 0 else 1.0
     return PartitionResult(
         parts=parts, cut_bytes=cut_weight(graph, parts), imbalance=imbalance
     )

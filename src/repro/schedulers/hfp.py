@@ -16,8 +16,8 @@ and at runtime adds Ready reordering and task stealing
 
 The packing is deliberately *expensive* — a point the paper makes: mHFP's
 scheduling time grows quickly with the task count and dominates its
-benefit (Figs 3, 5).  Its wall-clock cost here is measured and charged to
-``RunResult.scheduling_time``.
+benefit (Figs 3, 5).  Its wall-clock cost here is measured as
+``RunResult.prepare_time`` and charged by ``gflops_with_scheduling``.
 """
 
 from __future__ import annotations

@@ -8,9 +8,9 @@ UBfactor/Nruns knobs).  At runtime
 own part with Ready reordering; an idle GPU steals half of the most
 loaded GPU's remaining tasks from the tail.
 
-The partitioning wall-clock time is charged to ``scheduling_time``,
-reproducing the paper's pair of curves ("hMETIS+R" vs "hMETIS+R no
-part. time").
+The partitioning wall-clock time is measured as ``prepare_time`` and
+charged by ``RunResult.gflops_with_scheduling``, reproducing the
+paper's pair of curves ("hMETIS+R" vs "hMETIS+R no part. time").
 """
 
 from __future__ import annotations

@@ -28,7 +28,6 @@ _FACTORIES: Dict[str, Callable[[], Scheduler]] = {
     "darts+luf-3inputs": lambda: Darts(three_inputs=True),
     "darts+luf+opti": lambda: Darts(opti=True),
     "darts+luf+opti-3inputs": lambda: Darts(opti=True, three_inputs=True),
-    "darts+opti": lambda: Darts(opti=True),
 }
 
 SCHEDULER_NAMES = tuple(sorted(set(_FACTORIES) | {"darts+luf+threshold"}))
@@ -124,5 +123,4 @@ _DISPLAY = {
     "darts+luf-3inputs": "DARTS+LUF-3inputs",
     "darts+luf+opti": "DARTS+LUF+OPTI",
     "darts+luf+opti-3inputs": "DARTS+LUF+OPTI-3inputs",
-    "darts+opti": "DARTS+OPTI",
 }

@@ -269,7 +269,6 @@ class RuntimeKernel:
         if graph.has_outputs:
             self._validate_producer_consumer()
         self._remaining = graph.n_tasks
-        self._decision_time = 0.0
         self._prepare_time = 0.0
         self._finished = False
         # Workers only react to events once run() has begun; this lets
@@ -322,9 +321,7 @@ class RuntimeKernel:
             makespan=self.engine.now,
             total_flops=self.graph.total_flops,
             gpus=self.stats,
-            scheduling_time=self._prepare_time + self._decision_time,
             prepare_time=self._prepare_time,
-            decision_wall_time=self._decision_time,
             virtual_decision_time=self._virtual_decision_time,
             trace=self.trace if self.trace.enabled else None,
             trace_digest=self.trace.digest() if self.trace.enabled else None,
@@ -439,9 +436,7 @@ class RuntimeKernel:
         if events.wants(TaskRequeued):
             for t in requeued:
                 events.publish(TaskRequeued(time=now, gpu=gpu, task=t))
-        t0 = _time.perf_counter()
         self.scheduler.on_device_lost(gpu, tuple(requeued))
-        self._decision_time += _time.perf_counter() - t0
         for k, mem in enumerate(self.memories):
             if not self.dead[k]:
                 mem.policy.on_device_lost(gpu)
@@ -458,9 +453,7 @@ class RuntimeKernel:
     def _on_fetch_completed(self, e: FetchCompleted) -> None:
         if not self._started:
             return
-        t0 = _time.perf_counter()
         self.scheduler.on_data_loaded(e.gpu, e.data_id)
-        self._decision_time += _time.perf_counter() - t0
         self._poke(e.gpu)
 
     def _on_fetch_issued(self, e: Union[FetchIssued, OutputAllocated]) -> None:

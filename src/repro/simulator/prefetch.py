@@ -22,7 +22,6 @@ without subscribers pay nothing).
 
 from __future__ import annotations
 
-import time as _time
 from typing import TYPE_CHECKING
 
 from repro.simulator.events import DecisionMade
@@ -49,9 +48,7 @@ class Prefetcher:
                 task = w.staged
                 w.staged = None
             else:
-                t0 = _time.perf_counter()
                 task = k.scheduler.next_task(gpu)
-                k._decision_time += _time.perf_counter() - t0
                 cost = k.scheduler.consume_ops() * k.decision_op_cost
                 if cost > 0:
                     # Decisions run sequentially on the GPU's scheduler

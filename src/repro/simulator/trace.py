@@ -128,13 +128,9 @@ class RunResult:
     makespan: float
     total_flops: float
     gpus: List[GpuStats] = field(default_factory=list)
-    #: wall-clock seconds spent inside the scheduler (prepare + decisions)
-    scheduling_time: float = 0.0
-    #: wall-clock seconds of the static preparation phase only
+    #: wall-clock seconds of the static preparation phase
+    #: (``Scheduler.prepare``), the run's one host-time result
     prepare_time: float = 0.0
-    #: wall-clock seconds of per-decision scheduler calls (diagnostic:
-    #: host-Python speed, NOT charged to throughput)
-    decision_wall_time: float = 0.0
     #: virtual seconds of modelled decision latency (op-count based);
     #: already part of the makespan via task start gating
     virtual_decision_time: float = 0.0

@@ -19,7 +19,6 @@ subscribers, not inlined concerns.
 
 from __future__ import annotations
 
-import time as _time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Deque, Dict, Optional, Tuple
@@ -186,9 +185,7 @@ class Worker:
             for succ in k.dependencies.succs[task]:
                 k._indegree[succ] -= 1
 
-        t0 = _time.perf_counter()
         k.scheduler.task_done(gpu, task)
-        k._decision_time += _time.perf_counter() - t0
 
         # Completion may unblock anyone (stealing, DARTS refills, fetches);
         # _poke_all skips only the GPUs it provably cannot unblock.

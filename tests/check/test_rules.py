@@ -1,10 +1,13 @@
 """Each lint rule fires on minimal bad code and stays silent on good."""
 
+import ast
+from importlib.util import find_spec
 from pathlib import Path
 
 import pytest
 
 from repro.check.lint.framework import Linter
+from repro.check.lint.rules import PERF_COUNTER_WHITELIST
 
 
 def lint(tmp_path, source, filename="mod.py"):
@@ -89,27 +92,40 @@ class TestDET002WallClock:
         )
         assert "DET002" in codes(violations)
 
+    def test_perf_counter_whitelisted_in_kernel(self, tmp_path):
+        src = "import time as _time\nt = _time.perf_counter()\n"
+        violations = lint(tmp_path, src, filename="repro/simulator/kernel.py")
+        assert codes(violations) == []
+
     @pytest.mark.parametrize(
         "module",
         [
-            "repro/simulator/kernel.py",
+            "repro/simulator/runtime.py",
             "repro/simulator/prefetch.py",
             "repro/simulator/worker.py",
         ],
     )
-    def test_perf_counter_whitelisted_in_kernel_layers(self, tmp_path, module):
+    def test_perf_counter_flagged_in_other_simulator_modules(
+        self, tmp_path, module
+    ):
+        # Only the kernel times a scheduler call (``prepare``); the
+        # facade, the prefetcher and the worker read no host clock.
         src = "import time as _time\nt = _time.perf_counter()\n"
         violations = lint(tmp_path, src, filename=module)
-        assert codes(violations) == []
-
-    def test_perf_counter_flagged_in_runtime_facade(self, tmp_path):
-        # The facade no longer times scheduler calls; the whitelist
-        # moved to the kernel layers that do.
-        src = "import time as _time\nt = _time.perf_counter()\n"
-        violations = lint(
-            tmp_path, src, filename="repro/simulator/runtime.py"
-        )
         assert "DET002" in codes(violations)
+
+    @pytest.mark.parametrize("module", PERF_COUNTER_WHITELIST)
+    def test_whitelisted_module_still_calls_perf_counter(self, module):
+        # A whitelist entry whose module no longer reads the clock is a
+        # stale exemption: delete it together with the last call site.
+        tree = ast.parse(Path(find_spec(module).origin).read_text())
+        called = {
+            node.func.attr if isinstance(node.func, ast.Attribute)
+            else getattr(node.func, "id", None)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+        }
+        assert "perf_counter" in called
 
 
 class TestDET003UnorderedIteration:

@@ -11,7 +11,7 @@ from repro.experiments.cache import (
     platform_fingerprint,
 )
 from repro.experiments.harness import SweepSpec, cell_key, rep_seed, run_cell
-from repro.metrics.collect import Measurement, Sweep
+from repro.metrics.collect import Measurement
 from repro.platform.spec import BusSpec, GpuSpec, PlatformSpec, tesla_v100_node
 from repro.workloads.matmul2d import matmul2d
 
@@ -39,7 +39,6 @@ def sample_measurement(**overrides):
         loads=37,
         evictions=5,
         makespan_s=0.0123456789,
-        scheduling_time_s=3.14e-5,
         balance=1.0000000001,
         virtual_decision_time_s=2.5e-4 / 3.0,
     )
@@ -54,21 +53,8 @@ class TestSerialization:
         assert back == m
         assert isinstance(back.loads, int) and isinstance(back.n, int)
 
-    def test_sweep_json_round_trip_is_lossless(self):
-        sweep = Sweep(title="t")
-        sweep.add(sample_measurement())
-        sweep.add(sample_measurement(scheduler="DMDAR", gflops=9.5))
-        sweep.add(sample_measurement(n=6, working_set_mb=2 / 3))
-        sweep.reference_lines["GFlop/s max"] = 13253.0
-        sweep.reference_curves["PCI bus limit (MB)"] = [1.1, 2.2]
-        back = Sweep.from_dict(json.loads(json.dumps(sweep.to_dict())))
-        assert json.dumps(back.to_dict()) == json.dumps(sweep.to_dict())
-        assert list(back.series) == ["EAGER", "DMDAR"]
-        assert back.series["EAGER"].points == sweep.series["EAGER"].points
-
     def test_deterministic_dict_strips_wall_clock_fields(self):
         d = sample_measurement().deterministic_dict()
-        assert "scheduling_time_s" not in d
         assert "gflops_with_sched" not in d
         assert "gflops" in d and "makespan_s" in d
 

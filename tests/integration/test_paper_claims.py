@@ -70,11 +70,11 @@ class TestFig3Fig4SingleGpu:
     def test_mhfp_good_schedule_but_heavy_scheduling_time(self, pressured_2d):
         r = run(pressured_2d, 1, "mhfp")
         assert r.gflops > 0.9 * roofline_gflops(1, 13253.0)
-        # The packing cost dwarfs a dynamic scheduler's decisions.  Both
-        # are host time measured in this process, so host speed cancels
-        # out (about 45x measured on a 2-CPU host).
+        # The packing cost dwarfs a dynamic scheduler's static phase.
+        # Both are host time measured in this process, so host speed
+        # cancels out (215-270x measured on a 2-CPU host).
         luf = run(pressured_2d, 1, "darts+luf")
-        assert r.scheduling_time > 10 * luf.scheduling_time
+        assert r.prepare_time > 10 * luf.prepare_time
 
     def test_unconstrained_memory_everyone_is_fine(self):
         g = matmul2d(12)  # 354 MB: both matrices fit
@@ -163,14 +163,11 @@ class TestFig11Cholesky:
         The claim lives in ``virtual_decision_time`` (charge_ops).  Host
         wall time is no proxy for it: the full scan visits only the
         free-task index's keys, and OPTI walks the kept scan order to its
-        first hit, so neither pays per datum what the model charges, and
-        their host decision times come out within a small factor of each
-        other — we only check OPTI is not wildly slower in wall terms."""
+        first hit, so neither pays per datum what the model charges."""
         g = cholesky_tasks(16)
         full = run(g, 4, "darts+luf-3inputs")
         opti = run(g, 4, "darts+luf+opti-3inputs")
         assert opti.virtual_decision_time < 0.3 * full.virtual_decision_time
-        assert opti.decision_wall_time < 2.0 * full.decision_wall_time
 
     def test_opti_quality_loss_is_bounded(self):
         """Paper: OPTI stays 'close to optimal' — it may lose schedule
@@ -248,7 +245,6 @@ class TestRepetitionAveraging:
             loads=3,
             evictions=1,
             makespan_s=2.0,
-            scheduling_time_s=0.5,
             balance=1.0,
             virtual_decision_time_s=0.25,
         )
@@ -262,7 +258,6 @@ class TestRepetitionAveraging:
             loads=6,
             evictions=2,
             makespan_s=4.0,
-            scheduling_time_s=1.5,
             balance=1.2,
             virtual_decision_time_s=0.75,
         )
@@ -275,7 +270,6 @@ class TestRepetitionAveraging:
         assert avg.loads == round((3 + 6) / 2)
         assert avg.evictions == round((1 + 2) / 2)
         assert avg.makespan_s == (2.0 + 4.0) / 2
-        assert avg.scheduling_time_s == (0.5 + 1.5) / 2
         assert avg.balance == (1.0 + 1.2) / 2
         assert avg.virtual_decision_time_s == (0.25 + 0.75) / 2
 
@@ -293,7 +287,6 @@ class TestRepetitionAveraging:
             loads=1,
             evictions=1,
             makespan_s=1.0,
-            scheduling_time_s=1.0,
             balance=1.0,
             virtual_decision_time_s=1.0,
         )

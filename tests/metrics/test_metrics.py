@@ -16,7 +16,6 @@ def make_result(scheduler="X", makespan=2.0, loads=10):
         makespan=makespan,
         total_flops=8e9,
         gpus=[gpu],
-        scheduling_time=1.0,
         prepare_time=1.0,
     )
 

@@ -104,8 +104,3 @@ class TestDecisionCostModel:
             seed=1,
         )
         assert opti.virtual_decision_time < full.virtual_decision_time
-
-    def test_decision_wall_time_recorded_separately(self, figure1_graph):
-        r = simulate(figure1_graph, toy_platform(memory=4.0), Eager())
-        assert r.decision_wall_time >= 0.0
-        assert r.scheduling_time >= r.prepare_time
