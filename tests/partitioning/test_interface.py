@@ -70,6 +70,21 @@ class TestGraphModelBaseline:
             range(g.n_tasks)
         )
 
+    def test_clique_rejects_bad_k(self):
+        with pytest.raises(ValueError):
+            clique_graph_partition(matmul2d(3), 0)
+
+    def test_clique_scored_on_true_data_cut(self):
+        # The clique graph only steers the optimizer; the reported cut
+        # and balance are those of the task graph, as for partition_tasks.
+        g = matmul2d(6, data_size=1.0, task_flops=1.0)
+        res = clique_graph_partition(g, 3, nruns=3, rng=random.Random(0))
+        assert res.cut_bytes == pytest.approx(cut_weight(g, res.parts))
+        flops = [sum(g.tasks[t].flops for t in p) for p in res.parts]
+        assert res.imbalance == pytest.approx(max(flops) / (sum(flops) / 3))
+        for p in res.parts:
+            assert p == sorted(p)
+
     def test_hypergraph_not_worse_on_shared_data(self):
         """§IV-B ablation: on instances with widely-shared data the
         hypergraph model's true cut is at least as good on average."""
