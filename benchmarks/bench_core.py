@@ -112,6 +112,7 @@ STATIC_DIGESTS = (
 #: Blocks of ``BENCH_core.json`` recorded by hand (before/after pairs of
 #: past speedups, tier-1 wall time) that a re-recording carries over.
 HISTORY = (
+    "held_set_path",
     "paper_scale",
     "paper_scale_fig11",
     "runtime_floor",

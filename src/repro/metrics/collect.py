@@ -10,7 +10,7 @@ diagnostics (loads, evictions, balance).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Any, ClassVar, Dict, FrozenSet, List, Optional
+from typing import Any, Callable, ClassVar, Dict, FrozenSet, List, Optional
 
 from repro.simulator.trace import RunResult
 
@@ -121,12 +121,6 @@ class Series:
         vals = self.values(metric)
         return sum(vals) / len(vals) if vals else 0.0
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "scheduler": self.scheduler,
-            "points": [p.to_dict() for p in self.points],
-        }
-
 
 @dataclass
 class Sweep:
@@ -161,16 +155,26 @@ class Sweep:
         ratios = [x / y for x, y in zip(sa, sb) if y > 0]
         return sum(ratios) / len(ratios)
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Serialize preserving series insertion order."""
+    def _layout(
+        self, point: Callable[[Measurement], Dict[str, Any]]
+    ) -> Dict[str, Any]:
+        """The one serialized layout, each point written by ``point``;
+        series keep their insertion order."""
         return {
             "title": self.title,
-            "series": [s.to_dict() for s in self.series.values()],
+            "series": [
+                {"scheduler": s.scheduler, "points": [point(p) for p in s.points]}
+                for s in self.series.values()
+            ],
             "reference_lines": dict(self.reference_lines),
             "reference_curves": {
                 k: list(v) for k, v in self.reference_curves.items()
             },
         }
+
+    def to_dict(self) -> Dict[str, Any]:
+        """Serialize every field of every point."""
+        return self._layout(Measurement.to_dict)
 
     def deterministic_dict(self) -> Dict[str, Any]:
         """Like :meth:`to_dict`, restricted to bit-reproducible fields.
@@ -180,17 +184,4 @@ class Sweep:
         full ``to_dict`` additionally matches when both runs drew their
         cells from the same cache entries.
         """
-        return {
-            "title": self.title,
-            "series": [
-                {
-                    "scheduler": s.scheduler,
-                    "points": [p.deterministic_dict() for p in s.points],
-                }
-                for s in self.series.values()
-            ],
-            "reference_lines": dict(self.reference_lines),
-            "reference_curves": {
-                k: list(v) for k, v in self.reference_curves.items()
-            },
-        }
+        return self._layout(Measurement.deterministic_dict)

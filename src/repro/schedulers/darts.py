@@ -27,12 +27,14 @@ un-reserved (returned to the common pool) and ``V`` returns to
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, insort
 from collections import deque
 from itertools import islice
 from typing import (
     Deque,
     Dict,
+    FrozenSet,
     List,
     Optional,
     Sequence,
@@ -41,6 +43,10 @@ from typing import (
 )
 
 from repro.schedulers.base import Scheduler
+
+
+#: one GPU's ``(_miss_count, _miss_sum, _free_by_datum, _two_missing)``
+_Rows = Tuple["array[int]", "array[int]", Dict[int, Set[int]], Optional[bytearray]]
 
 
 def _unindex(idx: Dict[int, Set[int]], d: int, t: int) -> None:
@@ -98,7 +104,6 @@ class Darts(Scheduler):
         self._data_not_in_mem: List[Set[int]] = [
             set(range(graph.n_data)) for _ in range(view.n_gpus)
         ]
-        self._executed: Set[int] = set()
         #: GPUs lost to injected device failures (never refilled again)
         self._dead_gpus: Set[int] = set()
         total_memory = sum(g.memory_bytes for g in view.platform.gpus)
@@ -127,66 +132,97 @@ class Darts(Scheduler):
     # incremental free-task index
     # ------------------------------------------------------------------
     #
-    # Per GPU ``g`` and task ``t``:
+    # The pool is the set of unowned tasks (neither planned nor taken);
+    # ``_pool[d]`` holds its members that read datum ``d``.  Per GPU
+    # ``g`` and pool task ``t``:
     #   _miss_count[g][t]  — number of t's inputs not in held(g);
     #   _miss_sum[g][t]    — sum of those input ids (when the count is 1
     #                        this identifies the single missing datum);
-    #   _free_by_datum[g]  — datum d → set of *unowned* tasks whose only
+    #                        both are ``array`` rows (two and eight
+    #                        bytes a task), not lists of int objects;
+    #   _free_by_datum[g]  — datum d → set of pool tasks whose only
     #                        missing input on g is d;
-    #   _two_missing[g][t] — (3inputs only) 1 iff t is unowned and
+    #   _two_missing[g][t] — (3inputs only) 1 iff t is in the pool and
     #                        missing exactly two inputs on g; a flag
     #                        array rather than a set, because it holds
     #                        up to every task per GPU (one byte each,
     #                        where a set costs tens), and
     #                        ``bytearray.find(1, t + 1)`` jumps to the
     #                        next member in id order at C speed.
-    # Updated on every held-set transition (``on_fetch_issued``, which
-    # fires for fetches and output allocations alike, and
-    # ``on_data_evicted``) and on tasks entering/leaving the unowned
-    # pool; an emptied entry is deleted.  ``n(D)``, the number of free
-    # tasks a datum unlocks, is ``len(_free_by_datum[g][D])``, so
-    # ``_refill`` visits only the data that unlock a free task (the
-    # index's keys) instead of every datum of ``dataNotInMem``, OPTI
-    # stops at the first datum of ``_scan_order`` keying an entry, and
-    # the 3inputs fallback visits only the tasks two loads away instead
-    # of every unowned one.  Dependency release is filtered at query time
-    # (``is_released`` flips as tasks finish, without any per-datum
-    # event).  ``_n_users[d]`` is ``len(users_of(d))``, the ops a scan
-    # charges per datum visited, and ``_scan_charge[g]`` their sum over
-    # ``_data_not_in_mem[g]``.  ``check_index`` asserts equality with a
-    # fresh rescan.
+    # Every held-set transition (``on_fetch_issued``, which fires for
+    # fetches and output allocations alike, and ``on_data_evicted``)
+    # visits only ``_pool[d]``: the counts of owned tasks go stale, and
+    # a task returning to the pool (``_return_to_pool``) is recounted
+    # from the held sets.  An emptied ``_free_by_datum`` entry is
+    # deleted.  ``n(D)``, the number of free tasks a datum unlocks, is
+    # ``len(_free_by_datum[g][D])``, so ``_refill`` visits only the data
+    # that unlock a free task (the index's keys) instead of every datum
+    # of ``dataNotInMem``, OPTI stops at the first datum of
+    # ``_scan_order`` keying an entry, and the 3inputs fallback visits
+    # only the tasks two loads away instead of every unowned one.
+    # Dependency release is filtered at query time (``is_released``
+    # flips as tasks finish, without any per-datum event).
+    # ``_n_users[d]`` is ``len(users_of(d))``, the ops a scan charges per
+    # datum visited, and ``_scan_charge[g]`` their sum over
+    # ``_data_not_in_mem[g]``.  No decision depends on the iteration
+    # order of these sets and dicts: ``_select_candidate`` sorts ties and
+    # ``_refill`` reserves in ``users_of`` order.  ``check_index``
+    # asserts equality with a fresh rescan.
     def _build_index(self) -> None:
         view = self.view
         graph = view.graph
-        self._n_users = [len(graph.users_of(d)) for d in range(graph.n_data)]
-        self._miss_count: List[List[int]] = []
-        self._miss_sum: List[List[int]] = []
+        # no pool of a datum no task reads (an output only) ever
+        # changes, so all of them share one empty dict
+        no_users: Dict[int, None] = {}
+        self._pool: List[Dict[int, None]] = [
+            dict.fromkeys(users) if users else no_users
+            for users in map(graph.users_of, range(graph.n_data))
+        ]
+        self._n_users = [len(p) for p in self._pool]
+        self._miss_count: List["array[int]"] = []
+        self._miss_sum: List["array[int]"] = []
         self._free_by_datum: List[Dict[int, Set[int]]] = []
         self._two_missing: List[bytearray] = []
-        unowned = self._unowned
+        # the rows depend on the held set alone, and at prepare every
+        # GPU usually holds nothing: count once per distinct held set,
+        # then give each GPU its own copy
+        rows: Dict[FrozenSet[int], _Rows] = {}
         for g in range(view.n_gpus):
-            held = view.held(g)
-            mc = []
-            ms = []
-            idx: Dict[int, Set[int]] = {}
-            two = bytearray(graph.n_tasks) if self.three_inputs else None
-            for t in range(graph.n_tasks):
-                missing = [x for x in graph.inputs_of(t) if x not in held]
-                k = len(missing)
-                mc.append(k)
-                ms.append(sum(missing))
-                if k == 1 and t in unowned:
-                    idx.setdefault(missing[0], set()).add(t)
-                elif k == 2 and two is not None and t in unowned:
-                    two[t] = 1
-            self._miss_count.append(mc)
-            self._miss_sum.append(ms)
-            self._free_by_datum.append(idx)
+            held = frozenset(view.held(g))
+            if held not in rows:
+                rows[held] = self._count_missing(held)
+            mc, ms, idx, two = rows[held]
+            self._miss_count.append(mc[:])
+            self._miss_sum.append(ms[:])
+            self._free_by_datum.append({d: set(s) for d, s in idx.items()})
             if two is not None:
-                self._two_missing.append(two)
+                self._two_missing.append(two[:])
 
-    def _index_remove_task(self, t: int) -> None:
+    def _count_missing(self, held: FrozenSet[int]) -> _Rows:
+        """The index rows of a GPU holding ``held`` with every task in
+        the pool: ``(miss_count, miss_sum, free_by_datum, two_missing)``."""
+        graph = self.view.graph
+        mc = array("H")
+        ms = array("q")
+        idx: Dict[int, Set[int]] = {}
+        two = bytearray(graph.n_tasks) if self.three_inputs else None
+        for t in range(graph.n_tasks):
+            missing = [x for x in graph.inputs_of(t) if x not in held]
+            k = len(missing)
+            mc.append(k)
+            ms.append(sum(missing))
+            if k == 1:
+                idx.setdefault(missing[0], set()).add(t)
+            elif k == 2 and two is not None:
+                two[t] = 1
+        return mc, ms, idx, two
+
+    def _leave_pool(self, t: int) -> None:
         """``t`` leaves the unowned pool (planned or taken)."""
+        self._unowned.discard(t)
+        pool = self._pool
+        for d in self.view.graph.inputs_of(t):
+            del pool[d][t]
         for g in range(self.view.n_gpus):
             count = self._miss_count[g][t]
             if count == 1:
@@ -194,14 +230,24 @@ class Darts(Scheduler):
             elif count == 2 and self.three_inputs:
                 self._two_missing[g][t] = 0
 
-    def _index_add_task(self, t: int) -> None:
-        """``t`` returns to the unowned pool (un-reserved on eviction)."""
-        for g in range(self.view.n_gpus):
-            count = self._miss_count[g][t]
+    def _return_to_pool(self, t: int) -> None:
+        """``t`` returns to the unowned pool (un-reserved on eviction or
+        on a device loss).  Its counts went stale while it was owned, so
+        they are recounted from each live GPU's held set."""
+        view = self.view
+        self._unowned.add(t)
+        pool = self._pool
+        for d in view.graph.inputs_of(t):
+            pool[d][t] = None
+        for g in range(view.n_gpus):
+            if g in self._dead_gpus:
+                continue
+            missing = view.missing_inputs(g, t)
+            count = len(missing)
+            self._miss_count[g][t] = count
+            self._miss_sum[g][t] = sum(missing)
             if count == 1:
-                self._free_by_datum[g].setdefault(
-                    self._miss_sum[g][t], set()
-                ).add(t)
+                self._free_by_datum[g].setdefault(missing[0], set()).add(t)
             elif count == 2 and self.three_inputs:
                 self._two_missing[g][t] = 1
 
@@ -209,13 +255,19 @@ class Darts(Scheduler):
         """Assert the index equals a from-scratch recomputation (tests)."""
         view = self.view
         graph = view.graph
+        unowned = self._unowned
+        for d in range(graph.n_data):
+            expected = {t for t in graph.users_of(d) if t in unowned}
+            assert self._pool[d].keys() == expected, (
+                f"datum{d}: pool {sorted(self._pool[d])} != {sorted(expected)}"
+            )
         for g in range(view.n_gpus):
             if g in self._dead_gpus:
                 continue  # wiped memory makes the dead GPU's rows stale
             held = view.held(g)
             idx: Dict[int, Set[int]] = {}
             two = bytearray(graph.n_tasks)
-            for t in range(graph.n_tasks):
+            for t in unowned:
                 missing = [x for x in graph.inputs_of(t) if x not in held]
                 assert self._miss_count[g][t] == len(missing), (
                     f"gpu{g} task{t}: miss_count "
@@ -225,11 +277,10 @@ class Darts(Scheduler):
                     f"gpu{g} task{t}: miss_sum "
                     f"{self._miss_sum[g][t]} != {sum(missing)}"
                 )
-                if t in self._unowned:
-                    if len(missing) == 1:
-                        idx.setdefault(missing[0], set()).add(t)
-                    elif len(missing) == 2:
-                        two[t] = 1
+                if len(missing) == 1:
+                    idx.setdefault(missing[0], set()).add(t)
+                elif len(missing) == 2:
+                    two[t] = 1
             live = self._free_by_datum[g]  # emptied entries are deleted
             assert live == idx, f"gpu{g}: free_by_datum {live} != {idx}"
             if self.three_inputs:
@@ -331,8 +382,7 @@ class Darts(Scheduler):
                 if t in s and (not deps or released(t))
             ]
             for t in free:
-                self._unowned.discard(t)
-                self._index_remove_task(t)
+                self._leave_pool(t)
                 planned.append(t)
             self._discard_missing(gpu, d_opt)
             return planned.popleft()
@@ -400,8 +450,7 @@ class Darts(Scheduler):
 
     def _take(self, gpu: int, task: int) -> None:
         """Direct allocation (Algorithm 5 line 13)."""
-        self._unowned.discard(task)
-        self._index_remove_task(task)
+        self._leave_pool(task)
         for d in self.view.graph.inputs_of(task):
             self._discard_missing(gpu, d)
 
@@ -416,7 +465,6 @@ class Darts(Scheduler):
     # notifications
     # ------------------------------------------------------------------
     def task_done(self, gpu: int, task_id: int) -> None:
-        self._executed.add(task_id)
         ru = self._remaining_users
         order = self._scan_order
         for d in self.view.graph.inputs_of(task_id):
@@ -431,25 +479,23 @@ class Darts(Scheduler):
 
     def on_fetch_issued(self, gpu: int, data_id: int) -> None:
         """``data_id`` joins ``gpu``'s held-set: one less missing input
-        for each of its users there."""
+        for each of its pool users there."""
         mc = self._miss_count[gpu]
         ms = self._miss_sum[gpu]
         idx = self._free_by_datum[gpu]
         two = self._two_missing[gpu] if self.three_inputs else None
-        unowned = self._unowned
-        for t in self.view.graph.users_of(data_id):
+        for t in self._pool[data_id]:
             old = mc[t]
             mc[t] = old - 1
             ms[t] -= data_id
-            if t in unowned:
-                if old == 1:
-                    _unindex(idx, data_id, t)
-                elif old == 2:
-                    idx.setdefault(ms[t], set()).add(t)
-                    if two is not None:
-                        two[t] = 0
-                elif old == 3 and two is not None:
-                    two[t] = 1
+            if old == 1:
+                _unindex(idx, data_id, t)
+            elif old == 2:
+                idx.setdefault(ms[t], set()).add(t)
+                if two is not None:
+                    two[t] = 0
+            elif old == 3 and two is not None:
+                two[t] = 1
 
     def on_device_lost(self, gpu: int, requeued: Sequence[int]) -> None:
         """Return the dead GPU's reservations to the common pool.
@@ -462,13 +508,9 @@ class Darts(Scheduler):
         never called for a dead GPU; ``check_index`` skips it).
         """
         self._dead_gpus.add(gpu)
-        returned = list(requeued) + list(self._planned[gpu])
+        for t in (*requeued, *self._planned[gpu]):
+            self._return_to_pool(t)
         self._planned[gpu].clear()
-        for t in returned:
-            if t in self._executed or t in self._unowned:
-                continue
-            self._unowned.add(t)
-            self._index_add_task(t)
 
     def on_data_evicted(self, gpu: int, data_id: int) -> None:
         """Algorithm 6 line 8: un-reserve planned tasks needing the victim."""
@@ -481,20 +523,18 @@ class Darts(Scheduler):
         ms = self._miss_sum[gpu]
         idx = self._free_by_datum[gpu]
         two = self._two_missing[gpu] if self.three_inputs else None
-        unowned = self._unowned
-        for t in graph.users_of(data_id):
+        for t in self._pool[data_id]:
             old = mc[t]
             mc[t] = old + 1
             ms[t] += data_id
-            if t in unowned:
-                if old == 0:
-                    idx.setdefault(data_id, set()).add(t)
-                elif old == 1:
-                    _unindex(idx, ms[t] - data_id, t)
-                    if two is not None:
-                        two[t] = 1
-                elif old == 2 and two is not None:
-                    two[t] = 0
+            if old == 0:
+                idx.setdefault(data_id, set()).add(t)
+            elif old == 1:
+                _unindex(idx, ms[t] - data_id, t)
+                if two is not None:
+                    two[t] = 1
+            elif old == 2 and two is not None:
+                two[t] = 0
         planned = self._planned[gpu]
         if not planned:
             return
@@ -502,8 +542,7 @@ class Darts(Scheduler):
         keep: List[int] = []
         for t in planned:
             if data_id in graph.inputs_of(t):
-                self._unowned.add(t)
-                self._index_add_task(t)
+                self._return_to_pool(t)
             else:
                 keep.append(t)
         if len(keep) != len(planned):

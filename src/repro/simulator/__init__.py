@@ -13,9 +13,9 @@ The simulator is layered:
   drives pluggable schedulers: per-GPU task buffers (prefetch windows),
   data fetches overlapping execution, task stealing, decision gating;
 * :mod:`repro.simulator.events` — the typed :class:`EventStream` every
-  layer publishes on; traces, the sanitizer and statistics are
-  subscribers (see also :mod:`repro.simulator.view` for the read-only
-  scheduler surface).
+  layer publishes on; traces and the sanitizer are its subscribers
+  (see also :mod:`repro.simulator.view` for the read-only scheduler
+  surface).
 
 ``simulate(graph, platform, scheduler, ...)`` is the main entry point;
 :mod:`repro.simulator.runtime` keeps the stable public facade.

@@ -3,12 +3,12 @@
 Every observable thing the runtime kernel does — a task starting, a
 fetch being issued, a datum evicted, a scheduling decision charged —
 is published as one immutable :class:`RuntimeEvent` on a single
-:class:`EventStream`.  Trace recording, the invariant sanitizer,
-per-GPU statistics, and any future profiler are plain subscribers; the
-kernel itself subscribes for the few events that drive control flow
-(fetch completion, eviction notification).  This replaces the previous
-design of three duck-typed ``observer`` slots (engine / bus / memory)
-plus ad-hoc ``on_*`` lambdas threaded through five modules.
+:class:`EventStream`.  Only observers subscribe: trace recording, the
+invariant sanitizer and any future profiler.  Control flow does not
+ride the stream: the memory manager calls the kernel's reactions
+(scheduler notification, pokes) directly, right after publishing, and
+workers update their statistics inline, so a run with no observer
+allocates no event.
 
 Dispatch rules (the contract tests in ``tests/simulator/test_events.py``
 pin these down):

@@ -16,15 +16,18 @@ the layers it wires together:
 ========================================  ============================
 
 Every observable occurrence is published once on a single
-:class:`~repro.simulator.events.EventStream`; trace recording
-(:class:`~repro.simulator.trace.TraceRecorder`), invariant checking
-(:class:`~repro.simulator.sanitizer.Sanitizer`), statistics
-(:class:`StatsCollector`) and the kernel's own control reactions are
-all subscribers.  Registration order is part of the determinism
-contract: sanitizer first (violations fire before anything else
-processes the event), then trace, then stats, then control — this
-reproduces the exact interleaving the pre-refactor runtime hard-coded,
-so same-seed trace digests are byte-identical across the split.
+:class:`~repro.simulator.events.EventStream`, and only observers
+subscribe to it: invariant checking
+(:class:`~repro.simulator.sanitizer.Sanitizer`) first, so a violation
+fires before anything else processes the event, then trace recording
+(:class:`~repro.simulator.trace.TraceRecorder`), then any external
+subscriber.  A run with none of them allocates no event object.
+Control does not ride the stream: each
+:class:`~repro.simulator.memory.DeviceMemory` calls the kernel's three
+:class:`~repro.simulator.memory.MemoryControl` reactions directly,
+right after publishing the matching event, so observers still see every
+event before control acts, and the worker updates
+:class:`~repro.simulator.trace.GpuStats` inline.
 
 Control reaches the workers through *pokes*: a poke of GPU ``k`` tops
 up its task buffer and tries to start its head task.  A fetch
@@ -50,18 +53,12 @@ from repro.simulator.events import (
     DataReplicaLost,
     DegradedMode,
     DeviceFailed,
-    Evicted,
     EventStream,
-    FetchCompleted,
-    FetchIssued,
-    OutputAllocated,
-    TaskCompleted,
     TaskRequeued,
     WriteBackCompleted,
-    WriteBackStarted,
 )
 from repro.simulator.faults import FaultPlan
-from repro.simulator.memory import DeviceMemory
+from repro.simulator.memory import DeviceMemory, MemoryControl
 from repro.simulator.prefetch import Prefetcher
 from repro.simulator.routing import HostRouter, RetryingRouter, TransferRouter
 from repro.simulator.sanitizer import Sanitizer, is_enabled as _sanitizer_enabled
@@ -74,31 +71,7 @@ class SimulationDeadlock(Exception):
     """The event queue drained while tasks remained unexecuted."""
 
 
-class StatsCollector:
-    """Accumulates per-GPU execution statistics from the event stream."""
-
-    __slots__ = ("stats",)
-
-    def __init__(self, stats: List[GpuStats]) -> None:
-        self.stats = stats
-
-    def subscribe_to(self, stream: EventStream) -> None:
-        stream.subscribe(self._on_task_completed, TaskCompleted)
-        stream.subscribe(self._on_write_back_started, WriteBackStarted)
-
-    def _on_task_completed(self, e: TaskCompleted) -> None:
-        st = self.stats[e.gpu]
-        st.n_tasks += 1
-        st.busy_time += e.duration
-        st.flops += e.flops
-
-    def _on_write_back_started(self, e: WriteBackStarted) -> None:
-        st = self.stats[e.gpu]
-        st.bytes_stored += e.size
-        st.n_stores += 1
-
-
-class RuntimeKernel:
+class RuntimeKernel(MemoryControl):
     """One simulated execution of ``graph`` on ``platform`` by ``scheduler``."""
 
     def __init__(
@@ -233,6 +206,7 @@ class RuntimeKernel:
                     data_available=(
                         self._is_data_available if graph.has_outputs else None
                     ),
+                    control=self,
                 )
             )
 
@@ -283,18 +257,11 @@ class RuntimeKernel:
                     )
                 )
 
-        # Subscriber wiring.  Order matters and mirrors the inline call
-        # order of the pre-split runtime: sanitizer checks fire before
-        # the trace records an event, and the trace records before the
-        # kernel's control reactions (scheduler callbacks + pokes) run.
+        # Observer wiring.  Order matters: sanitizer checks fire before
+        # the trace records an event.
         if self.sanitizer is not None:
             self.sanitizer.subscribe_to(self.events, self.memories)
         self.trace.subscribe_to(self.events)
-        self._stats_collector = StatsCollector(self.stats)
-        self._stats_collector.subscribe_to(self.events)
-        self.events.subscribe(self._on_fetch_completed, FetchCompleted)
-        self.events.subscribe(self._on_fetch_issued, FetchIssued, OutputAllocated)
-        self.events.subscribe(self._on_evicted, Evicted)
 
     # ------------------------------------------------------------------
     # main entry
@@ -448,21 +415,21 @@ class RuntimeKernel:
         self._poke_all()
 
     # ------------------------------------------------------------------
-    # control-plane event subscribers
+    # control reactions, called by the memories (MemoryControl)
     # ------------------------------------------------------------------
-    def _on_fetch_completed(self, e: FetchCompleted) -> None:
+    def on_fetch_completed(self, gpu: int, data_id: int) -> None:
         if not self._started:
             return
-        self.scheduler.on_data_loaded(e.gpu, e.data_id)
-        self._poke(e.gpu)
+        self.scheduler.on_data_loaded(gpu, data_id)
+        self._poke(gpu)
 
-    def _on_fetch_issued(self, e: Union[FetchIssued, OutputAllocated]) -> None:
+    def on_fetch_issued(self, gpu: int, data_id: int) -> None:
         if self._started:
-            self.scheduler.on_fetch_issued(e.gpu, e.data_id)
+            self.scheduler.on_fetch_issued(gpu, data_id)
 
-    def _on_evicted(self, e: Evicted) -> None:
+    def on_evicted(self, gpu: int, data_id: int) -> None:
         if self._started:
-            self.scheduler.on_data_evicted(e.gpu, e.data_id)
+            self.scheduler.on_data_evicted(gpu, data_id)
 
     # ------------------------------------------------------------------
     # output-data extension
@@ -516,4 +483,4 @@ class RuntimeKernel:
         raise SimulationDeadlock("\n".join(lines))
 
 
-__all__ = ["RuntimeKernel", "SimulationDeadlock", "StatsCollector"]
+__all__ = ["RuntimeKernel", "SimulationDeadlock"]

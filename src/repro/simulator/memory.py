@@ -15,17 +15,18 @@ to avoid.
 Evictions are free in time: the paper's model has read-only inputs, so no
 write-back occurs.
 
-Instrumentation rides the :class:`repro.simulator.events.EventStream`
-passed at construction: :class:`~repro.simulator.events.FetchIssued`,
+Each held-set change publishes its event on the
+:class:`repro.simulator.events.EventStream` passed at construction
+(:class:`~repro.simulator.events.FetchIssued`,
 :class:`~repro.simulator.events.OutputAllocated`,
 :class:`~repro.simulator.events.FetchCompleted`,
-:class:`~repro.simulator.events.EvictionStarted`,
-:class:`~repro.simulator.events.Evicted` and
-:class:`~repro.simulator.events.MemoryUsageChanged` replace the bespoke
-callback/observer attributes the memory used to carry.  Every publish is
-guarded by :meth:`~repro.simulator.events.EventStream.wants`, so with no
-subscriber the hot fetch path costs one dict lookup — no closure is
-allocated and no call is made.
+:class:`~repro.simulator.events.Evicted`), then calls the matching
+:class:`MemoryControl` reaction directly, so observers see the event
+before control acts.  :class:`~repro.simulator.events.EvictionStarted`
+and :class:`~repro.simulator.events.MemoryUsageChanged` are published
+for observers alone.  Every publish is guarded by
+:meth:`~repro.simulator.events.EventStream.wants`, so with no
+subscriber the hot fetch path allocates no event object.
 """
 
 from __future__ import annotations
@@ -93,6 +94,30 @@ class EvictionPolicyProtocol:
         raise NotImplementedError
 
 
+class MemoryControl:
+    """The runtime's reactions to one memory's held-set changes.
+
+    :class:`DeviceMemory` calls each reaction right after publishing the
+    matching event.  This base reacts to nothing, for a memory driven on
+    its own; the runtime kernel overrides all three.
+    """
+
+    __slots__ = ()
+
+    def on_fetch_issued(self, gpu: int, data_id: int) -> None:
+        """``data_id`` joined ``gpu``'s held set: a fetch was issued or
+        space for an output was allocated."""
+
+    def on_fetch_completed(self, gpu: int, data_id: int) -> None:
+        """``data_id`` became resident on ``gpu``."""
+
+    def on_evicted(self, gpu: int, data_id: int) -> None:
+        """``data_id`` left ``gpu``'s held set."""
+
+
+_NO_CONTROL = MemoryControl()
+
+
 class DeviceMemory:
     """Bounded memory of one GPU, fed through a :class:`TransferRouter`."""
 
@@ -106,6 +131,7 @@ class DeviceMemory:
         policy: EvictionPolicyProtocol,
         events: Optional[EventStream] = None,
         data_available: Optional[Callable[[int], bool]] = None,
+        control: MemoryControl = _NO_CONTROL,
     ) -> None:
         if capacity_bytes <= 0:
             raise ValueError("capacity must be positive")
@@ -117,6 +143,8 @@ class DeviceMemory:
         self.policy = policy
         #: instrumentation stream shared with the rest of the runtime
         self.events: EventStream = events if events is not None else EventStream()
+        #: reactions to held-set changes, called after each publish
+        self.control = control
         #: whether a datum can currently be fetched at all (produced
         #: data are unavailable until written back or peer-resident)
         self._data_available = data_available
@@ -272,6 +300,7 @@ class DeviceMemory:
                 self.events.publish(
                     FetchIssued(time=self.engine.now, gpu=self.gpu, data_id=d)
                 )
+            self.control.on_fetch_issued(self.gpu, d)
             self.router.submit(
                 self.sizes[d],
                 self.gpu,
@@ -305,6 +334,7 @@ class DeviceMemory:
             self.events.publish(
                 OutputAllocated(time=self.engine.now, gpu=self.gpu, data_id=d)
             )
+        self.control.on_fetch_issued(self.gpu, d)
         return True
 
     def mark_produced(self, d: int) -> None:
@@ -361,6 +391,7 @@ class DeviceMemory:
                 self.events.publish(
                     Evicted(time=self.engine.now, gpu=self.gpu, data_id=d)
                 )
+            self.control.on_evicted(self.gpu, d)
         finally:
             self._evicting.discard(d)
 
@@ -386,6 +417,7 @@ class DeviceMemory:
                     size=self.sizes[d],
                 )
             )
+        self.control.on_fetch_completed(self.gpu, d)
 
     def _sanitize_usage(self) -> None:
         if self.events.wants(MemoryUsageChanged):

@@ -13,8 +13,8 @@ load and eviction counts; while the stamp still matches, the kernel's
 Workers publish :class:`~repro.simulator.events.TaskStarted`,
 :class:`~repro.simulator.events.TaskCompleted` and
 :class:`~repro.simulator.events.WriteBackStarted` on the kernel's event
-stream; trace recording, invariant checking and statistics are
-subscribers, not inlined concerns.
+stream for trace recording and invariant checking, and update their
+GPU's :class:`~repro.simulator.trace.GpuStats` inline.
 """
 
 from __future__ import annotations
@@ -142,6 +142,7 @@ class Worker:
         assert w.executing == task
         w.exec_event = None
         mem = k.memories[gpu]
+        stats = k.stats[gpu]
         for d in k.graph.inputs_of(task):
             mem.unpin(d)
         # Outputs become resident data and are eagerly written back to
@@ -157,6 +158,8 @@ class Worker:
                         size=k.sizes[o],
                     )
                 )
+            stats.bytes_stored += k.sizes[o]
+            stats.n_stores += 1
             k.store_router.submit(
                 k.sizes[o],
                 gpu,
@@ -165,6 +168,7 @@ class Worker:
         w.executing = None
         k.prefetcher.release(gpu, task)
         k.executed_order[gpu].append(task)
+        flops = k.graph.tasks[task].flops
         if k.events.wants(TaskCompleted):
             k.events.publish(
                 TaskCompleted(
@@ -172,9 +176,12 @@ class Worker:
                     gpu=gpu,
                     task=task,
                     duration=duration,
-                    flops=k.graph.tasks[task].flops,
+                    flops=flops,
                 )
             )
+        stats.n_tasks += 1
+        stats.busy_time += duration
+        stats.flops += flops
         k._remaining -= 1
         if k._remaining == 0 and k._fault_handles:
             # Nothing left to fail: cancel pending injected failures so

@@ -21,6 +21,7 @@ from repro.dag.workloads import cholesky_dag
 from repro.experiments.harness import effective_threshold, figure_spec, rep_seed
 from repro.partitioning.interface import partition_tasks
 from repro.platform.spec import tesla_v100_node
+from repro.schedulers.darts import Darts
 from repro.schedulers.hfp import balance_packages, hfp_pack
 from repro.schedulers.registry import make_scheduler
 from repro.simulator.prefetch import Prefetcher
@@ -151,6 +152,15 @@ POKE_PINS = {
     "dmdar": (1838, 3438),
 }
 
+#: scheduler -> (held-set hook calls, ``users_of`` sizes summed over
+#: them, tasks the hooks visit) on fig8 small n=40, rep 0.  The hooks
+#: (``on_fetch_issued`` and ``on_data_evicted``) once visited every user
+#: of the datum, and this test read (588, 23520, 23520) then.  They now
+#: visit only the unowned pool.
+HOOK_PINS = {
+    "darts+luf": (588, 23520, 8066),
+}
+
 
 def _digest(task_lists) -> str:
     return hashlib.sha256(json.dumps(task_lists).encode()).hexdigest()
@@ -269,6 +279,56 @@ class TestRuntimeCallPins:
         assert (calls["try_start"], calls["fill_buffer"]) == (
             POKE_PINS[scheduler]
         ), f"fig8 n=40 {scheduler}: pokes changed {calls}"
+
+
+    @pytest.mark.parametrize("scheduler", sorted(HOOK_PINS))
+    def test_darts_hook_visits_exact(self, scheduler):
+        """A return to walking every user of a datum fails here.  A hook
+        reads ``_miss_count[gpu][t]`` once per task it visits."""
+        spec = figure_spec("fig8", scale="small")
+        sched, eviction = make_scheduler(scheduler)
+        calls, users, reads, inside = [0], [0], [0], [False]
+
+        class CountingList(list):
+            def __getitem__(self, t):
+                reads[0] += inside[0]
+                return list.__getitem__(self, t)
+
+        build_index = Darts._build_index
+
+        def counting_build_index(self):
+            build_index(self)
+            self._miss_count = [CountingList(mc) for mc in self._miss_count]
+
+        def counting(hook):
+            def wrapped(self, gpu, data_id):
+                calls[0] += 1
+                users[0] += len(self.view.graph.users_of(data_id))
+                inside[0] = True
+                hook(self, gpu, data_id)
+                inside[0] = False
+
+            return wrapped
+
+        with mock.patch.object(
+            Darts, "_build_index", counting_build_index
+        ), mock.patch.object(
+            Darts, "on_fetch_issued", counting(Darts.on_fetch_issued)
+        ), mock.patch.object(
+            Darts, "on_data_evicted", counting(Darts.on_data_evicted)
+        ):
+            simulate(
+                spec.workload(40),
+                spec.platform(),
+                sched,
+                eviction=eviction,
+                window=spec.window,
+                seed=rep_seed(spec.seed, scheduler, 40, 0),
+            )
+        assert (calls[0], users[0], reads[0]) == HOOK_PINS[scheduler], (
+            f"fig8 n=40 {scheduler}: hook visits changed "
+            f"{(calls[0], users[0], reads[0])}"
+        )
 
 
 class TestStaticPhasePins:

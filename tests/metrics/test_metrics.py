@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.metrics.collect import Measurement, Series, Sweep
+from repro.metrics.collect import Measurement, Sweep
 from repro.metrics.report import ascii_plot, format_series_table
 from repro.simulator.trace import GpuStats, RunResult
 
@@ -68,6 +68,27 @@ class TestSweep:
     def test_series_mean(self):
         sweep = self._sweep()
         assert sweep.series["A"].mean("gflops") == pytest.approx(4.0)
+
+    def test_both_serializations_share_one_layout(self):
+        """``to_dict`` and ``deterministic_dict`` have the same keys and
+        series order; their points differ only by the wall-clock
+        fields."""
+        sweep = Sweep(title="t", reference_lines={"bound": 1.0},
+                      reference_curves={"limit": [1.0, 2.0]})
+        for name in ("B", "A"):  # insertion order, not sorted
+            sweep.add(Measurement.from_result(
+                make_result(name), n=2, working_set_mb=10.0))
+        full, det = sweep.to_dict(), sweep.deterministic_dict()
+        assert list(full) == list(det)
+        assert [s["scheduler"] for s in full["series"]] == ["B", "A"]
+        assert [s["scheduler"] for s in det["series"]] == ["B", "A"]
+        for key in ("title", "reference_lines", "reference_curves"):
+            assert full[key] == det[key]
+        for fs, ds in zip(full["series"], det["series"]):
+            assert list(fs) == list(ds)
+            for fp, dp in zip(fs["points"], ds["points"]):
+                assert set(fp) - set(dp) == Measurement.WALL_CLOCK_FIELDS
+                assert dp == {k: fp[k] for k in dp}
 
 
 class TestReports:

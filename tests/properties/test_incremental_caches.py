@@ -25,6 +25,7 @@ from repro.schedulers.partition import HmetisR
 from repro.simulator.faults import DeviceFailure, FaultPlan
 from repro.simulator.memory import MemoryFullError
 from repro.simulator.runtime import simulate
+from repro.workloads.matmul2d import matmul2d
 from repro.workloads.randomgraph import random_bipartite
 
 from tests.conftest import toy_platform
@@ -409,6 +410,33 @@ class TestSchedulerCachesMatchRecompute:
         )
         if fail_time < result.makespan:
             assert sched._dead_gpus == {0}, "the failure must fire"
+        executed = sorted(t for o in result.executed_order for t in o)
+        assert executed == list(range(graph.n_tasks))
+
+    def test_unreserved_task_is_recounted(self):
+        """Algorithm 6 line 8 returns planned tasks needing the victim to
+        the pool.  While planned, their counts were not kept (an input
+        was fetched meanwhile), so the return must recount them:
+        ``check_index`` runs right after each eviction hook."""
+        returned = []
+
+        class Watched(_CheckedDarts):
+            def on_data_evicted(self, gpu, data_id):
+                planned = set(self._planned[gpu])
+                super().on_data_evicted(gpu, data_id)  # checks the index
+                back = planned - set(self._planned[gpu])
+                assert back <= self._unowned
+                returned.extend(back)
+
+        graph = matmul2d(4, data_size=1.0, task_flops=1.0)
+        result = simulate(
+            graph,
+            toy_platform(n_gpus=2, memory=4.0, bandwidth=5.0),
+            Watched(),
+            window=2,
+            seed=1,
+        )
+        assert len(returned) == 3, "planned tasks must be un-reserved"
         executed = sorted(t for o in result.executed_order for t in o)
         assert executed == list(range(graph.n_tasks))
 

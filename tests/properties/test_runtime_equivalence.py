@@ -2,10 +2,12 @@
 
 ``RuntimeKernel._poke_all`` skips a GPU whose poke provably does
 nothing (a full buffer, and the GPU executing or its head still waiting
-on the inputs ``Worker.try_start`` stamped), and ``Prefetcher.admit``
-sums only a new task's data on top of a kept per-GPU footprint.  Each is
-claimed to decide exactly what the loop it replaced decided; those loops
-are frozen in ``tests/properties/runtime_oracles.py``.  Hypothesis
+on the inputs ``Worker.try_start`` stamped), ``Prefetcher.admit``
+sums only a new task's data on top of a kept per-GPU footprint, and
+DARTS's held-set hooks visit only the unowned pool.  Each is claimed to
+decide exactly what the loop it replaced decided; those loops are
+frozen in ``tests/properties/runtime_oracles.py`` and
+``tests/properties/darts_oracles.py``.  Hypothesis
 drives both over the feature cross-product the skip argument has to
 survive: every scheduler, every eviction policy, produced data (whose
 availability gates fetches), NVLink peer copies, windows 1-4, and fault
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 from repro.core.problem import TaskGraph
 from repro.dag.deps import DependencySet
 from repro.platform.spec import BusSpec, GpuSpec, PlatformSpec
+from repro.schedulers.darts import Darts
 from repro.schedulers.registry import SCHEDULER_NAMES, make_scheduler
 from repro.simulator.faults import (
     DeviceFailure,
@@ -36,6 +39,7 @@ from repro.simulator.runtime import simulate
 from repro.simulator.worker import Worker
 from repro.workloads.randomgraph import random_bipartite
 
+from tests.properties.darts_oracles import ALL_USERS_HOOKS
 from tests.properties.runtime_oracles import admit_oracle, poke_all_oracle
 
 EVICTIONS = ("lru", "fifo", "random", "luf")
@@ -172,6 +176,27 @@ class TestPokeSkip:
         charge as poking every GPU after every completion."""
         ours = _outcome(_simulate(case))
         with mock.patch.object(RuntimeKernel, "_poke_all", poke_all_oracle):
+            oracle = _outcome(_simulate(case))
+        assert ours == oracle
+
+
+DARTS_NAMES = tuple(n for n in SCHEDULER_NAMES if n.startswith("darts"))
+
+
+class TestPoolOnlyHooks:
+    @given(
+        case=runtime_case().flatmap(
+            lambda c: st.sampled_from(DARTS_NAMES).map(
+                lambda name: {**c, "scheduler": name}
+            )
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_pool_hooks_decide_as_all_users_hooks(self, case):
+        """Same trace digest, executed order, makespan and decision
+        charge as the hooks that walked every user of the datum."""
+        ours = _outcome(_simulate(case))
+        with mock.patch.multiple(Darts, **ALL_USERS_HOOKS):
             oracle = _outcome(_simulate(case))
         assert ours == oracle
 

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core.problem import TaskGraph
 from repro.schedulers.darts import Darts
+from repro.simulator.faults import DeviceFailure, FaultPlan
 from repro.simulator.runtime import Runtime, simulate
 from repro.workloads.matmul2d import matmul2d
 from repro.workloads.matmul3d import matmul3d
@@ -118,6 +118,33 @@ class TestEvictionCoupling:
         sched.on_fetch_issued(0, 2)
         sched.on_data_loaded(0, 2)
         assert 2 not in sched._data_not_in_mem[0]
+
+
+class TestDeviceLoss:
+    def test_returned_tasks_have_not_run(self):
+        """A device loss returns the dead GPU's requeued and planned
+        tasks to the pool; none of them has completed, and each then
+        runs exactly once on the survivor."""
+        graph = matmul2d(6, data_size=1.0, task_flops=1.0)
+        platform = toy_platform(n_gpus=2, memory=6.0, bandwidth=2.0)
+        returned = []
+
+        class Watched(Darts):
+            def on_device_lost(self, gpu, requeued):
+                tasks = (*requeued, *self._planned[gpu])
+                done = {t for order in rt.executed_order for t in order}
+                assert not done & set(tasks)
+                returned.extend(tasks)
+                super().on_device_lost(gpu, requeued)
+                assert set(tasks) <= self._unowned
+
+        plan = FaultPlan(device_failures=(DeviceFailure(gpu=0, time=6.6),))
+        rt = Runtime(graph, platform, Watched(), seed=0, faults=plan)
+        result = rt.run()
+        assert len(returned) == 4, "requeued and planned tasks must return"
+        executed = [t for order in result.executed_order for t in order]
+        assert sorted(executed) == list(range(graph.n_tasks))
+        assert set(returned) <= set(result.executed_order[1])
 
 
 class TestVariants:

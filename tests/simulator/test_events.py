@@ -10,6 +10,7 @@ their event-subscriber form, ported from ``test_sanitizer.py``.
 import pytest
 
 from repro.core.problem import TaskGraph
+from repro.dag.deps import DependencySet
 from repro.schedulers.eager import Eager
 from repro.simulator.events import (
     RUNTIME_EVENT_TYPES,
@@ -19,8 +20,10 @@ from repro.simulator.events import (
     FetchIssued,
     MemoryUsageChanged,
     OutputAllocated,
+    TaskCompleted,
     TaskStarted,
     TransferCompleted,
+    WriteBackStarted,
 )
 from repro.simulator.memory import DeviceMemory
 from repro.simulator.runtime import Runtime, simulate
@@ -105,32 +108,136 @@ class TestDispatch:
             e.data_id = 4
 
 
-class TestRuntimeWiring:
-    def test_control_plane_subscribes_fetch_and_evict_events(self):
-        """Scheduler notification (held-set sync + pokes) rides the
-        stream for fetch issues, fetch completions and evictions even
-        with tracing and the sanitizer off."""
-        rt = Runtime(
-            small_graph(), toy_platform(memory=6.0), Eager(),
-            record_trace=False, sanitize=False,
-        )
-        assert rt.events.wants(FetchIssued)
-        assert rt.events.wants(FetchCompleted)
-        assert rt.events.wants(Evicted)
+def output_chains():
+    """Two producer chains of three layers reading one shared input:
+    every task allocates an output that the next layer reads, so a run
+    fetches, allocates, evicts and writes back."""
+    graph = TaskGraph()
+    shared = graph.add_data(1.0)
+    inputs = [graph.add_data(1.0) for _ in range(2)]
+    prev, edges = [None, None], []
+    for _layer in range(3):
+        outputs = [graph.add_data(1.0) for _ in range(2)]
+        for w in range(2):
+            t = graph.add_task([inputs[w], shared], flops=1.0, outputs=[outputs[w]])
+            if prev[w] is not None:
+                edges.append((prev[w], t.id))
+            prev[w] = t.id
+        inputs = outputs
+    return graph, DependencySet(graph.n_tasks, edges)
 
-    def test_output_allocation_reaches_the_scheduler_only(self):
-        """Output allocation joins the held set through the scheduler's
-        ``on_fetch_issued``; trace and sanitizer stay off it, so the
-        recorded digests do not change."""
-        graph = TaskGraph()
-        out = graph.add_data(1.0)
-        graph.add_task([graph.add_data(1.0)], flops=1.0, outputs=[out])
-        rt = Runtime(
-            graph, toy_platform(memory=6.0), Eager(),
-            record_trace=True, sanitize=True,
+
+class _HookLog(Eager):
+    """EAGER recording its held-set hooks in a log shared with an
+    external subscriber, so their interleaving can be checked."""
+
+    def __init__(self, log):
+        super().__init__()
+        self.log = log
+
+    def on_fetch_issued(self, gpu, data_id):
+        self.log.append(("hook", "held", gpu, data_id))
+
+    def on_data_loaded(self, gpu, data_id):
+        self.log.append(("hook", "loaded", gpu, data_id))
+
+    def on_data_evicted(self, gpu, data_id):
+        self.log.append(("hook", "evicted", gpu, data_id))
+
+
+#: event type -> the scheduler hook its control reaction calls
+_HOOK_OF = {
+    FetchIssued: "held",
+    OutputAllocated: "held",
+    FetchCompleted: "loaded",
+    Evicted: "evicted",
+}
+
+
+class TestRuntimeWiring:
+    def test_plain_run_has_no_subscriber_and_builds_no_event(self, monkeypatch):
+        """With tracing and the sanitizer off nothing subscribes, and a
+        run that fetches, allocates outputs, evicts and writes back
+        constructs no event at all: control calls are direct."""
+        graph, deps = output_chains()
+
+        def run():
+            rt = Runtime(
+                graph, toy_platform(n_gpus=2, memory=3.0), Eager(),
+                dependencies=deps, record_trace=False, sanitize=False,
+            )
+            assert not any(rt.events.wants(et) for et in RUNTIME_EVENT_TYPES)
+            return rt.run()
+
+        expected = run()
+        assert expected.total_evictions > 0 and expected.total_stores == 6
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"{type(self).__name__} constructed")
+
+        for et in RUNTIME_EVENT_TYPES:
+            monkeypatch.setattr(et, "__init__", refuse)
+        result = run()
+        assert result.executed_order == expected.executed_order
+        assert result.makespan == expected.makespan
+        assert [vars(g) for g in result.gpus] == [vars(g) for g in expected.gpus]
+
+    @pytest.mark.parametrize("observed", [False, True])
+    def test_output_allocation_reaches_on_fetch_issued_once(self, observed):
+        """Each output's allocation calls ``on_fetch_issued`` exactly
+        once, on its producer's GPU and before any fetch of it, with or
+        without trace and sanitizer."""
+        graph, deps = output_chains()
+        log = []
+        result = simulate(
+            graph, toy_platform(n_gpus=2, memory=3.0), _HookLog(log),
+            dependencies=deps, record_trace=observed, sanitize=observed,
         )
-        assert rt.events.wants(OutputAllocated)
-        assert rt.events.subscriber_count(OutputAllocated) == 1
+        held = [(gpu, d) for _, hook, gpu, d in log if hook == "held"]
+        assert len(held) == result.total_loads + graph.n_tasks
+        ran_on = {
+            t: gpu for gpu, order in enumerate(result.executed_order) for t in order
+        }
+        for d in range(graph.n_data):
+            if graph.is_produced(d):
+                first = next(gpu for gpu, x in held if x == d)
+                assert first == ran_on[graph.producer_of(d)]
+
+    def test_observers_see_the_full_run_before_control(self):
+        """Trace, sanitizer and an external subscriber all see the whole
+        run, and each held-set event reaches the subscriber just before
+        the scheduler hook it triggers."""
+        graph, deps = output_chains()
+        log = []
+        sanitizer = Sanitizer(strict=False)
+        rt = Runtime(
+            graph, toy_platform(n_gpus=2, memory=3.0), _HookLog(log),
+            dependencies=deps, record_trace=True, sanitize=sanitizer,
+        )
+        # trace and sanitizer ignore output allocation, so digests do too
+        assert not rt.events.wants(OutputAllocated)
+        seen = []
+        rt.events.subscribe(seen.append)
+        rt.events.subscribe(
+            lambda e: log.append(("event", _HOOK_OF[type(e)], e.gpu, e.data_id)),
+            *_HOOK_OF,
+        )
+        result = rt.run()
+        assert sanitizer.violations == []
+        kinds = [type(e) for e in seen]
+        assert kinds.count(TaskCompleted) == graph.n_tasks
+        assert kinds.count(FetchIssued) == kinds.count(FetchCompleted)
+        assert kinds.count(FetchCompleted) == result.total_loads
+        assert kinds.count(Evicted) == result.total_evictions > 0
+        assert kinds.count(OutputAllocated) == graph.n_tasks
+        assert kinds.count(WriteBackStarted) == result.total_stores
+        assert len(rt.trace.of_kind("task_end")) == graph.n_tasks
+        assert len(rt.trace.of_kind("evict")) == result.total_evictions
+        # the log alternates: each event reaches the subscriber, then
+        # the scheduler hook it triggers
+        assert {e[0] for e in log[0::2]} == {"event"}
+        assert [e[1:] for e in log[0::2]] == [e[1:] for e in log[1::2]]
+        assert len(log) == 2 * sum(kinds.count(et) for et in _HOOK_OF)
 
     def test_tracing_subscribes_the_fetch_path(self):
         rt = Runtime(
