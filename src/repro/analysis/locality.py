@@ -46,9 +46,6 @@ class ReuseSummary:
     mean_distance: float
     max_distance: int
 
-    def hits_with_capacity(self, distances: List[Optional[int]], m: int) -> int:
-        return sum(1 for d in distances if d is not None and d < m)
-
 
 def reuse_summary(graph: TaskGraph, order: Sequence[int]) -> ReuseSummary:
     """Aggregate reuse statistics for one GPU's executed order."""

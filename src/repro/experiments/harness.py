@@ -71,7 +71,7 @@ from repro.experiments.cache import (
 )
 from repro.metrics.collect import Measurement, Sweep
 from repro.platform.spec import PlatformSpec
-from repro.schedulers.registry import make_scheduler
+from repro.schedulers.registry import _canon, make_scheduler
 from repro.simulator.faults import FaultPlan
 from repro.simulator.runtime import simulate
 
@@ -115,10 +115,6 @@ class ExcludedCell(NamedTuple):
     cell: Cell
     attempts: int
     error: str
-
-
-def _canon(scheduler: str) -> str:
-    return scheduler.strip().lower().replace(" ", "")
 
 
 def rep_seed(base: int, scheduler: str, n: int, rep: int) -> int:

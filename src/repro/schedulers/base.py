@@ -136,7 +136,3 @@ class Scheduler:
         exact; dynamic schedulers return the default empty sequence.
         """
         return ()
-
-    def describe(self) -> str:
-        """One-line description for reports."""
-        return self.name

@@ -554,13 +554,3 @@ class Darts(Scheduler):
     # ------------------------------------------------------------------
     def planned_tasks(self, gpu: int) -> Sequence[int]:
         return tuple(self._planned[gpu])
-
-    def describe(self) -> str:
-        flags = []
-        if self.opti:
-            flags.append("OPTI")
-        if self.three_inputs:
-            flags.append("3inputs")
-        if self.threshold is not None:
-            flags.append(f"threshold={self.threshold}")
-        return f"DARTS({', '.join(flags)})" if flags else "DARTS"

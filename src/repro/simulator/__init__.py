@@ -24,7 +24,7 @@ The simulator is layered:
 from repro.simulator.engine import EventHandle, SimulationEngine
 from repro.simulator.bus import Bus, FairShareBus, FifoBus, make_bus
 from repro.simulator.events import EventStream, RuntimeEvent
-from repro.simulator.routing import HostRouter, TransferRouter
+from repro.simulator.routing import TransferRouter
 from repro.simulator.memory import DataState, DeviceMemory, MemoryFullError
 from repro.simulator.trace import RunResult, TraceEvent, TraceRecorder
 from repro.simulator.kernel import RuntimeKernel
@@ -40,7 +40,6 @@ __all__ = [
     "EventStream",
     "RuntimeEvent",
     "TransferRouter",
-    "HostRouter",
     "DeviceMemory",
     "DataState",
     "MemoryFullError",

@@ -18,7 +18,7 @@ while still penalising many small transfers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, List, Optional
 from collections import deque
 
 from repro.platform.spec import BusSpec
@@ -48,8 +48,9 @@ class Bus:
     ) -> None:
         self.engine = engine
         self.spec = spec
+        #: payload bytes carried, counted at completion; the run's
+        #: host/peer traffic split is read from these counters
         self.bytes_transferred: float = 0.0
-        self.bytes_to: Dict[int, float] = {}
         self.n_transfers: int = 0
         #: instrumentation stream; a :class:`TransferCompleted` is
         #: published after each transfer is accounted (subscribed by the
@@ -66,7 +67,8 @@ class Bus:
         """Start moving ``size`` payload bytes to GPU ``dst``.
 
         ``data_id`` identifies the datum for routing layers (the NVLink
-        fabric uses it to locate peer copies); plain buses ignore it.
+        fabric uses it to locate peer copies); a bus ignores it, and the
+        write-back channel submits without one.
         """
         raise NotImplementedError
 
@@ -76,7 +78,6 @@ class Bus:
 
     def _account(self, t: _Transfer) -> None:
         self.bytes_transferred += t.size
-        self.bytes_to[t.dst] = self.bytes_to.get(t.dst, 0.0) + t.size
         self.n_transfers += 1
         if self.events.wants(TransferCompleted):
             self.events.publish(

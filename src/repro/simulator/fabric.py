@@ -11,7 +11,9 @@ already resident on another GPU, it is copied over a peer link (one
 fair-shared egress channel per source GPU, off the host PCIe bus)
 instead of re-fetched from main memory.  The source copy is pinned for
 the duration so it cannot be evicted mid-transfer.  Data present nowhere
-still come from the host over the shared PCIe bus.
+still come from the host over the shared PCIe bus.  The fabric keeps no
+byte counts: the host bus and each peer channel count what they carry,
+and the kernel reads the host/peer traffic split from them.
 
 Schedulers need no changes — the routing is at the memory-system level
 behind the :class:`repro.simulator.routing.TransferRouter` interface,
@@ -73,9 +75,6 @@ class PeerFabric(TransferRouter):
         #: in-flight peer copies, in submission order; device-failure
         #: injection poisons the entries whose source just died
         self._inflight: List[_PeerCopy] = []
-        # statistics
-        self.bytes_from_host: float = 0.0
-        self.bytes_from_peer: float = 0.0
 
     def attach(self, memories: Sequence[object]) -> None:
         """Wire the per-GPU memories (the kernel calls this once)."""
@@ -122,17 +121,15 @@ class PeerFabric(TransferRouter):
         size: float,
         dst: int,
         on_complete: Callable[[], None],
-        data_id: Optional[int] = None,
+        data_id: int,
     ) -> None:
-        src = self._locate(data_id, dst) if data_id is not None else None
+        src = self._locate(data_id, dst)
         if src is None:
-            self.bytes_from_host += size
             self.host_bus.submit(size, dst, on_complete, data_id=data_id)
             return
         # Pin the source copy so it survives until the copy lands.
         src_mem = self._memories[src]
         src_mem.pin(data_id)
-        self.bytes_from_peer += size
         record = _PeerCopy(src, dst, data_id, size)
         self._inflight.append(record)
         events = self.events
@@ -189,7 +186,6 @@ class PeerFabric(TransferRouter):
                     attempt=2,
                 )
             )
-        self.bytes_from_host += record.size
         self.host_bus.submit(
             record.size, record.dst, on_complete, data_id=record.data_id
         )

@@ -11,7 +11,7 @@ executes against:
   its in-flight task is cancelled, its memory replicas are lost, and its
   running + buffered tasks are requeued through the scheduler's
   ``on_device_lost`` hook;
-* :class:`TransferCorruption` — every identified fetch completion is
+* :class:`TransferCorruption` — every fetch completion is
   corrupted with probability ``probability`` and retried with bounded
   exponential backoff (see
   :class:`repro.simulator.routing.RetryingRouter`);
@@ -43,7 +43,7 @@ class DeviceFailure:
 
 @dataclass(frozen=True)
 class TransferCorruption:
-    """Transient transfer corruption applied to every identified fetch.
+    """Transient transfer corruption applied to every fetch.
 
     Each completed fetch is corrupted with ``probability``; a corrupted
     transfer is retried after ``backoff_base * backoff_factor**(attempt-1)``

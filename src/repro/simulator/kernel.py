@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import random
 import time as _time
-from typing import Callable, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Type, Union
 
 from repro.core.problem import TaskGraph
 from repro.platform.spec import PlatformSpec
@@ -60,11 +60,14 @@ from repro.simulator.events import (
 from repro.simulator.faults import FaultPlan
 from repro.simulator.memory import DeviceMemory, MemoryControl
 from repro.simulator.prefetch import Prefetcher
-from repro.simulator.routing import HostRouter, RetryingRouter, TransferRouter
+from repro.simulator.routing import RetryingRouter, Transport
 from repro.simulator.sanitizer import Sanitizer, is_enabled as _sanitizer_enabled
 from repro.simulator.trace import GpuStats, RunResult, TraceRecorder
 from repro.simulator.view import RuntimeView
 from repro.simulator.worker import Worker, WorkerState
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.eviction import EvictionPolicy
 
 
 class SimulationDeadlock(Exception):
@@ -79,7 +82,7 @@ class RuntimeKernel(MemoryControl):
         graph: TaskGraph,
         platform: PlatformSpec,
         scheduler: Scheduler,
-        eviction: Union[str, Callable[[int, RuntimeView], object]] = "lru",
+        eviction: Union[str, Type[EvictionPolicy]] = "lru",
         window: int = 2,
         seed: int = 0,
         record_trace: bool = False,
@@ -152,9 +155,10 @@ class RuntimeKernel(MemoryControl):
                 platform.n_gpus,
                 events=self.events,
             )
-        #: transport serving input fetches (peer fabric when configured)
-        self.fetch_router: TransferRouter = (
-            self.fabric if self.fabric is not None else HostRouter(self.bus)
+        #: transport serving input fetches: the peer fabric when
+        #: configured, else the host bus itself
+        self.fetch_router: Transport = (
+            self.fabric if self.fabric is not None else self.bus
         )
         #: injection rng — separate from the scheduler rng so installing
         #: a plan never perturbs scheduling decisions
@@ -170,10 +174,6 @@ class RuntimeKernel(MemoryControl):
                     events=self.events,
                     alive=self._is_alive,
                 )
-        #: transport serving output write-backs
-        self.store_router: Optional[TransferRouter] = (
-            HostRouter(self.store_bus) if self.store_bus is not None else None
-        )
         self.sizes = [d.size for d in graph.data]
         self.trace = TraceRecorder(enabled=record_trace)
         self.view = RuntimeView(self)
@@ -184,16 +184,12 @@ class RuntimeKernel(MemoryControl):
             not graph.is_produced(d) for d in range(graph.n_data)
         ]
 
-        # Eviction policies are created per GPU via repro.eviction.
+        # Eviction policies are created per GPU via repro.eviction (a
+        # local import: repro.eviction imports the simulator).
         from repro.eviction import make_policy
 
         self.memories: List[DeviceMemory] = []
         for k, gpu in enumerate(platform.gpus):
-            policy = (
-                eviction(k, self.view)
-                if callable(eviction)
-                else make_policy(eviction, k, self.view, scheduler)
-            )
             self.memories.append(
                 DeviceMemory(
                     engine=self.engine,
@@ -201,7 +197,7 @@ class RuntimeKernel(MemoryControl):
                     gpu_index=k,
                     capacity_bytes=gpu.memory_bytes,
                     data_sizes=self.sizes,
-                    policy=policy,
+                    policy=make_policy(eviction, k, self.view, scheduler),
                     events=self.events,
                     data_available=(
                         self._is_data_available if graph.has_outputs else None
@@ -298,10 +294,13 @@ class RuntimeKernel(MemoryControl):
             self.stats[k].n_loads = mem.n_loads
             self.stats[k].bytes_loaded = mem.bytes_loaded
             self.stats[k].n_evictions = mem.n_evictions
-        # The fetch router owns the host/peer traffic split regardless
-        # of which transport it is.
-        result.bytes_from_host = self.fetch_router.bytes_from_host
-        result.bytes_from_peer = self.fetch_router.bytes_from_peer
+        # The buses own the traffic accounting; engine.run() drained
+        # every transfer, so their counts are final.
+        result.bytes_from_host = self.bus.bytes_transferred
+        if self.fabric is not None:
+            result.bytes_from_peer = sum(
+                ch.bytes_transferred for ch in self.fabric.peer_channels
+            )
         return result
 
     # ------------------------------------------------------------------

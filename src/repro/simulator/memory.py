@@ -54,7 +54,7 @@ from repro.simulator.events import (
     MemoryUsageChanged,
     OutputAllocated,
 )
-from repro.simulator.routing import TransferRouter
+from repro.simulator.routing import Transport
 
 
 class MemoryFullError(Exception):
@@ -119,12 +119,12 @@ _NO_CONTROL = MemoryControl()
 
 
 class DeviceMemory:
-    """Bounded memory of one GPU, fed through a :class:`TransferRouter`."""
+    """Bounded memory of one GPU, fed through a bus or a router."""
 
     def __init__(
         self,
         engine: SimulationEngine,
-        router: TransferRouter,
+        router: Transport,
         gpu_index: int,
         capacity_bytes: float,
         data_sizes: Sequence[float],

@@ -23,7 +23,7 @@ guarantees the simulation can always make progress.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Union
+from typing import TYPE_CHECKING, Optional, Type, Union
 
 from repro.core.problem import TaskGraph
 from repro.platform.spec import PlatformSpec
@@ -33,6 +33,9 @@ from repro.simulator.kernel import RuntimeKernel, SimulationDeadlock
 from repro.simulator.sanitizer import Sanitizer
 from repro.simulator.trace import RunResult
 from repro.simulator.view import RuntimeView
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.eviction import EvictionPolicy
 
 __all__ = ["Runtime", "RuntimeView", "SimulationDeadlock", "simulate"]
 
@@ -49,7 +52,7 @@ def simulate(
     graph: TaskGraph,
     platform: PlatformSpec,
     scheduler: Scheduler,
-    eviction: Union[str, Callable[[int, RuntimeView], object]] = "lru",
+    eviction: Union[str, Type[EvictionPolicy]] = "lru",
     window: int = 2,
     seed: int = 0,
     record_trace: bool = False,
@@ -60,9 +63,11 @@ def simulate(
 ) -> RunResult:
     """Run ``graph`` on ``platform`` under ``scheduler`` and return stats.
 
-    ``eviction`` names a policy from :mod:`repro.eviction` (``"lru"``,
-    ``"fifo"``, ``"random"``, ``"luf"``) or is a factory
-    ``(gpu_index, view) -> policy``.  ``window`` is the per-GPU task
+    ``eviction`` names a policy from :mod:`repro.eviction` (one of
+    ``POLICY_NAMES``: ``"belady"``, ``"fifo"``, ``"lru"``, ``"luf"``,
+    ``"random"``) or is an ``EvictionPolicy`` subclass; either way
+    :func:`repro.eviction.make_policy` builds one per GPU and hands it
+    the scheduler (LUF reads DARTS's planned tasks).  ``window`` is the per-GPU task
     buffer depth (prefetch lookahead).  ``decision_op_cost`` converts a
     scheduler's reported inner-loop operations into virtual seconds of
     decision latency (0 disables decision-cost modelling).

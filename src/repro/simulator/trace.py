@@ -100,9 +100,6 @@ class TraceRecorder:
     def of_kind(self, kind: str) -> List[TraceEvent]:
         return [e for e in self.events if e.kind == kind]
 
-    def on_gpu(self, gpu: int) -> List[TraceEvent]:
-        return [e for e in self.events if e.gpu == gpu]
-
 
 @dataclass
 class GpuStats:
@@ -199,11 +196,6 @@ class RunResult:
         if total <= 0:
             return 0.0
         return self.total_flops / total / 1e9
-
-    @property
-    def max_tasks_per_gpu(self) -> int:
-        """Objective 1 achieved by the run."""
-        return max((g.n_tasks for g in self.gpus), default=0)
 
     def balance_ratio(self) -> float:
         """``max_k nb_k / mean nb_k`` — 1.0 is perfect balance."""

@@ -160,7 +160,7 @@ class Worker:
                 )
             stats.bytes_stored += k.sizes[o]
             stats.n_stores += 1
-            k.store_router.submit(
+            k.store_bus.submit(
                 k.sizes[o],
                 gpu,
                 lambda oo=o: k._store_done(gpu, oo),

@@ -239,3 +239,32 @@ class TestFactory:
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError, match="unknown eviction"):
             make_policy("magic", 0, FakeView(), FakeScheduler())
+
+    def test_simulate_builds_a_policy_class_like_its_name(self):
+        """A class goes through ``make_policy`` too, so LUF gets the
+        scheduler and sees DARTS's planned tasks (a class used to be
+        called as a ``(gpu, view)`` factory, leaving LUF without it)."""
+        from repro.platform.spec import tesla_v100_node
+        from repro.schedulers.registry import make_scheduler
+        from repro.simulator.runtime import simulate
+        from repro.workloads.matmul2d import matmul2d
+
+        graph = matmul2d(20)
+        platform = tesla_v100_node(2, memory_bytes=100e6)
+        results = []
+        for eviction in ("luf", LufPolicy):
+            sched, _ = make_scheduler("darts+luf")
+            results.append(
+                simulate(
+                    graph,
+                    platform,
+                    sched,
+                    eviction=eviction,
+                    seed=1,
+                    record_trace=True,
+                )
+            )
+        by_name, by_class = results
+        assert by_class.total_loads == by_name.total_loads == 175
+        assert by_class.makespan == by_name.makespan
+        assert by_class.trace_digest == by_name.trace_digest

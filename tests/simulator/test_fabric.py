@@ -1,14 +1,23 @@
 """Tests for NVLink-style peer-to-peer transfers (paper §VI extension)."""
 
+from unittest import mock
+
 import pytest
 
 from repro.platform.spec import BusSpec, GpuSpec, PlatformSpec, tesla_v100_node
 from repro.schedulers.eager import Eager
+from repro.schedulers.registry import make_scheduler
 from repro.schedulers.fixed import FixedSchedule
 from repro.core.schedule import Schedule
 from repro.simulator.bus import FifoBus
 from repro.simulator.engine import SimulationEngine
 from repro.simulator.fabric import PeerFabric
+from repro.simulator.faults import (
+    DeviceFailure,
+    FaultPlan,
+    StragglerSlowdown,
+    TransferCorruption,
+)
 from repro.simulator.runtime import simulate
 from repro.workloads.matmul2d import matmul2d
 
@@ -157,16 +166,18 @@ class TestSourceSelection:
         assert fabric._locate(5, dst=2) == 1
 
     def test_falls_back_to_host_when_all_copies_evicting(self):
-        eng, fabric = make_fabric(
-            [StubMemory(present={5}, evicting={5}), StubMemory()]
-        )
+        evicting = StubMemory(present={5}, evicting={5})
+        eng, fabric = make_fabric([evicting, StubMemory()])
         assert fabric._locate(5, dst=1) is None
         done = []
-        fabric.submit(1.0, dst=1, on_complete=lambda: done.append(True))
+        fabric.submit(
+            1.0, dst=1, on_complete=lambda: done.append(True), data_id=5
+        )
+        assert evicting.pinned == []  # the evicting copy is not a source
         eng.run()
         assert done == [True]
-        assert fabric.bytes_from_host == 1.0
-        assert fabric.bytes_from_peer == 0.0
+        assert fabric.host_bus.bytes_transferred == 1.0
+        assert sum(ch.bytes_transferred for ch in fabric.peer_channels) == 0.0
 
     def test_peer_source_pinned_until_copy_lands(self):
         src = StubMemory(present={5})
@@ -175,7 +186,57 @@ class TestSourceSelection:
         assert src.pinned == [5]  # in flight: copy protected
         eng.run()
         assert src.pinned == []  # landed: pin released
-        assert fabric.bytes_from_peer == 1.0
+        assert fabric.peer_channels[0].bytes_transferred == 1.0
+        assert fabric.host_bus.bytes_transferred == 0.0
+
+
+#: ``(bytes_from_host, bytes_from_peer)`` of matmul2d(10) with outputs
+#: on 3 V100s × 100 MB with NVLink, recorded when the routers still
+#: kept their own byte counts; the buses must report the same split.
+OUTPUT_SPLIT_PINS = {
+    "dmdar": (869990400.0, 221184000.0),
+    "darts+luf": (722534400.0, 147456000.0),
+}
+
+#: the same split for matmul2d(12) on that platform under a fault plan
+#: (GPU 1 fails, 20 % of fetches are corrupted and retried, GPU 0
+#: straggles).  Each failure time catches one peer copy sourced from
+#: GPU 1 in flight, so the pins cover peer-to-host failover too.
+FAULT_SPLIT_PINS = {
+    "darts+luf": (0.036, (1268121600.0, 132710400.0)),
+    "dmdar": (0.031, (928972800.0, 309657600.0)),
+    "eager": (0.026, (2890137600.0, 280166400.0)),
+}
+
+
+class TestTrafficSplitPins:
+    def _run(self, name, graph, faults=None):
+        sched, eviction = make_scheduler(name)
+        platform = tesla_v100_node(3, memory_bytes=100e6, nvlink=True)
+        return simulate(graph, platform, sched, eviction=eviction, faults=faults)
+
+    @pytest.mark.parametrize("name", sorted(OUTPUT_SPLIT_PINS))
+    def test_with_outputs(self, name):
+        result = self._run(name, matmul2d(10, with_outputs=True))
+        split = (result.bytes_from_host, result.bytes_from_peer)
+        assert split == OUTPUT_SPLIT_PINS[name]
+
+    @pytest.mark.parametrize("name", sorted(FAULT_SPLIT_PINS))
+    def test_under_faults(self, name):
+        fail_time, pinned = FAULT_SPLIT_PINS[name]
+        plan = FaultPlan(
+            seed=11,
+            device_failures=(DeviceFailure(gpu=1, time=fail_time),),
+            transfer_faults=TransferCorruption(probability=0.2),
+            stragglers=(StragglerSlowdown(gpu=0, factor=1.5),),
+        )
+        real = PeerFabric._failover_to_host
+        with mock.patch.object(
+            PeerFabric, "_failover_to_host", autospec=True, side_effect=real
+        ) as failover:
+            result = self._run(name, matmul2d(12), faults=plan)
+        assert failover.call_count == 1
+        assert (result.bytes_from_host, result.bytes_from_peer) == pinned
 
 
 class TestPreset:

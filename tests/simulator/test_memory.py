@@ -12,7 +12,6 @@ from repro.simulator.memory import (
     EvictionPolicyProtocol,
     MemoryFullError,
 )
-from repro.simulator.routing import HostRouter
 
 
 class ScriptedPolicy(EvictionPolicyProtocol):
@@ -47,7 +46,7 @@ def make_memory(capacity=4.0, sizes=None, bandwidth=1.0):
     policy = ScriptedPolicy()
     mem = DeviceMemory(
         engine=eng,
-        router=HostRouter(bus),
+        router=bus,
         gpu_index=0,
         capacity_bytes=capacity,
         data_sizes=sizes or [1.0] * 10,
@@ -218,7 +217,7 @@ class TestQueriesAndInvariants:
         bus = FifoBus(eng, BusSpec(bandwidth=1.0, latency=0.0, model="fifo"))
         mem = DeviceMemory(
             engine=eng,
-            router=HostRouter(bus),
+            router=bus,
             gpu_index=0,
             capacity_bytes=1.0,
             data_sizes=[1.0] * 4,
