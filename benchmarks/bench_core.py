@@ -23,13 +23,13 @@ output digests are recorded too, so a speedup that changes packages
 or partitions does not pass as one.
 
 ``--check BASELINE`` is the CI perf-smoke gate: it compares each e2e
-cell's steady seconds with the baseline's as they are (across hosts,
-too) and fails on a slowdown beyond ``--tolerance``, or on a static
-phase whose digest differs from the baseline's.  The reference
-(a full run) records each cell at the median of :data:`RECORD_RUNS`
-measurements of the statistic the gate takes once.  A quick run
-writes a file only when given ``--out``, so it never replaces the
-reference.
+cell's and each static phase's steady seconds with the baseline's as
+they are (across hosts, too) and fails on a slowdown beyond
+``--tolerance``, or on a static phase whose digest differs from the
+baseline's.  The reference (a full run) records each cell and phase at
+the median of :data:`RECORD_RUNS` measurements of the statistic the
+gate takes once.  A quick run writes a file only when given ``--out``,
+so it never replaces the reference.
 
 Usage::
 
@@ -103,10 +103,10 @@ POOL_JOBS = 2
 SWEEP_POINTS = {"fig3": None, "fig8": 4}
 SWEEP_POINTS_QUICK = {"fig3": 5, "fig8": 2}
 
-#: (report group, field) of the static phases' output digests
-STATIC_DIGESTS = (
-    ("hfp_pack", "packages_sha256"),
-    ("partition", "parts_sha256"),
+#: (report group, seconds field, output digest field) of each static phase
+STATIC_PHASES = (
+    ("hfp_pack", "pack_s", "packages_sha256"),
+    ("partition", "partition_s", "parts_sha256"),
 )
 
 #: Blocks of ``BENCH_core.json`` recorded by hand (before/after pairs of
@@ -117,6 +117,7 @@ HISTORY = (
     "paper_scale_fig11",
     "runtime_floor",
     "static_phases",
+    "static_phases_early_stop",
     "tier1",
 )
 
@@ -144,20 +145,24 @@ def hostclock():
     return module
 
 
-def _best(clock, fn: Callable[[], Any], samples: int) -> Tuple[Any, float]:
-    """``fn``'s result and its best seconds on ``clock`` over ``samples`` runs."""
-    best = float("inf")
-    for _ in range(samples):
-        result, _, secs = clock.time(fn)
-        best = min(best, secs)
-    return result, best
+def _measure(clock, fn: Callable[[], Any], runs: int) -> Tuple[Any, float]:
+    """``fn``'s result and its seconds on ``clock``: the median over
+    ``runs`` measurements of the best of :data:`SAMPLES` calls."""
+    bests = []
+    for _ in range(runs):
+        best = float("inf")
+        for _ in range(SAMPLES):
+            result, _, secs = clock.time(fn)
+            best = min(best, secs)
+        bests.append(best)
+    return result, statistics.median(bests)
 
 
 def _digest(task_lists: List[List[int]]) -> str:
     return hashlib.sha256(json.dumps(task_lists).encode()).hexdigest()
 
 
-def bench_hfp_pack(clock, n: int = 48) -> Dict[str, Any]:
+def bench_hfp_pack(clock, runs: int, n: int = 48) -> Dict[str, Any]:
     """Time of ``hfp_pack`` on the fig3 matmul workload."""
     from repro.experiments.harness import figure_spec
     from repro.schedulers.hfp import hfp_pack
@@ -166,8 +171,8 @@ def bench_hfp_pack(clock, n: int = 48) -> Dict[str, Any]:
     graph = spec.workload(n)
     platform = spec.platform()
     memory = min(g.memory_bytes for g in platform.gpus)
-    packages, secs = _best(
-        clock, lambda: hfp_pack(graph, memory, platform.n_gpus), SAMPLES
+    packages, secs = _measure(
+        clock, lambda: hfp_pack(graph, memory, platform.n_gpus), runs
     )
     return {
         "n": n,
@@ -178,7 +183,7 @@ def bench_hfp_pack(clock, n: int = 48) -> Dict[str, Any]:
     }
 
 
-def bench_partition(clock, n: int = 50, k: int = 4) -> Dict[str, Any]:
+def bench_partition(clock, runs: int, n: int = 50, k: int = 4) -> Dict[str, Any]:
     """Time of ``partition_tasks`` on the fig8 workload."""
     import random
 
@@ -186,10 +191,10 @@ def bench_partition(clock, n: int = 50, k: int = 4) -> Dict[str, Any]:
     from repro.partitioning.interface import partition_tasks
 
     graph = figure_spec("fig8").workload(n)
-    parts, secs = _best(
+    parts, secs = _measure(
         clock,
         lambda: partition_tasks(graph, k, rng=random.Random(0)).parts,
-        SAMPLES,
+        runs,
     )
     return {
         "n": n,
@@ -312,9 +317,10 @@ def run_benchmarks(quick: bool) -> Dict[str, Any]:
         },
     }
     clocks = hostclock()
+    runs = 1 if quick else RECORD_RUNS
     with clocks.SteadyClock() as clock:
-        report["hfp_pack"] = bench_hfp_pack(clock)
-        report["partition"] = bench_partition(clock)
+        report["hfp_pack"] = bench_hfp_pack(clock, runs)
+        report["partition"] = bench_partition(clock, runs)
         report["e2e"] = bench_e2e(clock, quick)
     # The pool's workers slow the probe in this process, so the steady
     # clock would count the pool's own load as a slow host (fig8's
@@ -327,11 +333,11 @@ def run_benchmarks(quick: bool) -> Dict[str, Any]:
 def check_regression(
     report: Dict[str, Any], baseline_path: str, tolerance: float
 ) -> int:
-    """Compare e2e steady seconds against a previous run.
+    """Compare e2e and static-phase steady seconds against a previous run.
 
-    Returns the number of cells more than ``tolerance`` slower than the
-    baseline's plus the number of static-phase digests that differ from
-    the baseline's.
+    Returns the number of cells and static phases more than
+    ``tolerance`` slower than the baseline's plus the number of
+    static-phase digests that differ from the baseline's.
     """
     with open(baseline_path) as fh:
         old = json.load(fh)
@@ -347,12 +353,20 @@ def check_regression(
                 status = "REGRESSED"
                 failures += 1
             print(f"  check {key} {scheduler}: x{ratio:.2f} [{status}]")
-    for group, field in STATIC_DIGESTS:
+    for group, seconds, digest in STATIC_PHASES:
+        old_phase = old.get(group, {})
+        if seconds in old_phase:
+            ratio = report[group][seconds] / old_phase[seconds]
+            status = "ok"
+            if ratio > 1.0 + tolerance:
+                status = "REGRESSED"
+                failures += 1
+            print(f"  check {group}.{seconds}: x{ratio:.2f} [{status}]")
         status = "ok"
-        if report[group][field] != old.get(group, {}).get(field):
+        if report[group][digest] != old_phase.get(digest):
             status = "CHANGED"
             failures += 1
-        print(f"  check {group}.{field}: [{status}]")
+        print(f"  check {group}.{digest}: [{status}]")
     return failures
 
 
@@ -372,8 +386,8 @@ def main(argv: Optional[list] = None) -> int:
         "--check",
         metavar="BASELINE",
         help="compare against a previous BENCH_core.json; non-zero exit "
-        "on an e2e slowdown beyond --tolerance or a changed static-phase "
-        "digest",
+        "on an e2e or static-phase slowdown beyond --tolerance or a "
+        "changed static-phase digest",
     )
     parser.add_argument(
         "--tolerance",
@@ -422,8 +436,9 @@ def main(argv: Optional[list] = None) -> int:
         return 1
     if failures:
         print(
-            f"ERROR: {failures} check(s) failed: a cell regressed beyond "
-            f"{args.tolerance:.0%} or a static-phase output changed",
+            f"ERROR: {failures} check(s) failed: a cell or static phase "
+            f"regressed beyond {args.tolerance:.0%} or a static-phase "
+            "output changed",
             file=sys.stderr,
         )
         return 1

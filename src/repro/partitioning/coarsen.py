@@ -20,15 +20,22 @@ def match_heavy_edge(h: Hypergraph, rng: random.Random) -> List[int]:
     order = list(range(h.n))
     rng.shuffle(order)
     match = [-1] * h.n
+    nets, nwgt = h.nets, h.nwgt
     for v in order:
         if match[v] != -1:
             continue
-        scores = h.neighbor_weights(v)
+        # ``Hypergraph.neighbor_weights`` restricted to unmatched
+        # neighbours: each score is the same float sum, in the same order
+        scores: Dict[int, float] = {}
+        for e in h.pins_of[v]:
+            pins = nets[e]
+            share = nwgt[e] / (len(pins) - 1)
+            for u in pins:
+                if match[u] == -1 and u != v:
+                    scores[u] = scores.get(u, 0.0) + share
         best_u, best_s = -1, -1.0
         for u, s in scores.items():
-            if match[u] == -1 and (
-                s > best_s or (s == best_s and u < best_u)
-            ):
+            if s > best_s or (s == best_s and u < best_u):
                 best_u, best_s = u, s
         if best_u != -1:
             match[v] = best_u

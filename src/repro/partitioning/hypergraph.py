@@ -27,6 +27,10 @@ class Hypergraph:
             raise ValueError("vertex_weights length mismatch")
         if len(nets) != len(net_weights):
             raise ValueError("net_weights length mismatch")
+        # FM's early stop bounds later cuts below by the nets that must
+        # stay cut, which holds only if no net weight is negative
+        if any(not w >= 0 for w in net_weights):
+            raise ValueError("net weights must be non-negative")
         self.n = n_vertices
         self.vwgt = list(vertex_weights)
         self.nets: List[Tuple[int, ...]] = [tuple(p) for p in nets]

@@ -160,21 +160,38 @@ def _pair_entries(
         yield (-w, ntasks[a] + ntasks[b], a, b)
 
 
+def _pop_least(run: List[_Entry], heap: List[_Entry]) -> _Entry:
+    """Pop the least entry of the descending ``run`` and the ``heap``.
+
+    That is the entry one heap holding both would pop: the run's least
+    entry is its last, the heap's is its top.
+    """
+    if heap and (not run or heap[0] < run[-1]):
+        return heapq.heappop(heap)
+    return run.pop()
+
+
 def _merge_round(
     pk: _Packages,
     memory_bound: Optional[float],
     stop_at: int,
 ) -> None:
-    """Greedy best-pair merging until the heap dries up or ``stop_at``.
+    """Greedy best-pair merging until the entries dry up or ``stop_at``.
 
     ``memory_bound`` restricts merges to packages whose combined input
     footprint fits (phase 1); ``None`` lifts the restriction (phase 2).
+
+    The round starts with one entry per pair, built in bulk and sorted
+    once in descending order: this run is consumed from its end, and
+    entries pushed later go to a heap.  Each step pops the lesser of
+    the run's last entry and the heap's top (``_pop_least``), exactly
+    the pop order of one heap holding both.
 
     Entries are re-keyed lazily.  A pair's shared weight ``w`` and task
     count only grow, so an entry whose ``w`` is still current is a lower
     bound on the pair's key; ``merge`` names the partners whose ``w``
     grew, and only those get fresh entries.  A popped entry is checked
-    against the pair's current key: if equal, no entry in the heap can
+    against the pair's current key: if equal, no pending entry can
     beat it and the pair merges — the pair the eager scheme (a fresh
     entry for every neighbour after each merge) would merge; if only
     the task count grew, it is pushed back with the current key unless
@@ -182,8 +199,7 @@ def _merge_round(
     will again); if ``w`` grew, a fresher entry exists and it is
     dropped.
     """
-    # one entry per pair, built in bulk
-    heap: List[_Entry] = [
+    run: List[_Entry] = [
         entry
         for pid in pk.active_ids()
         for entry in _pair_entries(
@@ -193,12 +209,13 @@ def _merge_round(
             ((q, w) for q, w in pk.nbr[pid].items() if pid < q),
         )
     ]
-    heapq.heapify(heap)
+    run.sort(reverse=True)
+    heap: List[_Entry] = []
     tasks = pk.tasks
     nbr = pk.nbr
     ntasks = pk.ntasks
-    while heap and pk.n_active > stop_at:
-        neg_w, count, a, b = heapq.heappop(heap)
+    while (run or heap) and pk.n_active > stop_at:
+        neg_w, count, a, b = _pop_least(run, heap)
         if neg_w >= 0:  # no live pair shares anything any more
             break
         if tasks[a] is None or tasks[b] is None:

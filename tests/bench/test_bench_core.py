@@ -8,7 +8,7 @@ import pytest
 from benchmarks.bench_core import (
     E2E_CELLS,
     GATED,
-    STATIC_DIGESTS,
+    STATIC_PHASES,
     check_regression,
 )
 
@@ -22,8 +22,9 @@ def _committed():
         return json.load(fh)
 
 
-def _report(scale=1.0):
-    """A gate run whose fig3 cells take ``scale`` times the reference."""
+def _report(scale=1.0, static_scale=1.0):
+    """A gate run whose fig3 cells take ``scale`` times the reference and
+    whose static phases take ``static_scale`` times it."""
     old = _committed()
     cells = old["e2e"][GATED]["cells"]
     report = {
@@ -36,8 +37,11 @@ def _report(scale=1.0):
             }
         }
     }
-    for group, field in STATIC_DIGESTS:
-        report[group] = {field: old[group][field]}
+    for group, seconds, digest in STATIC_PHASES:
+        report[group] = {
+            seconds: old[group][seconds] * static_scale,
+            digest: old[group][digest],
+        }
     return report
 
 
@@ -82,12 +86,21 @@ def test_calibration_is_not_read(tmp_path, calibration_s):
     )
 
 
+def test_every_slowed_static_phase_fails(capsys):
+    assert check_regression(
+        _report(static_scale=1.5), BASELINE, 0.25
+    ) == len(STATIC_PHASES)
+    out = capsys.readouterr().out
+    for group, seconds, _ in STATIC_PHASES:
+        assert f"check {group}.{seconds}: x1.50 [REGRESSED]" in out
+
+
 def test_tampered_digests_fail(tmp_path):
     tampered = _committed()
-    for group, field in STATIC_DIGESTS:
-        tampered[group][field] = "0" * 64
+    for group, _, digest in STATIC_PHASES:
+        tampered[group][digest] = "0" * 64
     path = tmp_path / "BENCH_core.json"
     path.write_text(json.dumps(tampered))
     assert check_regression(_report(), str(path), 0.25) == len(
-        STATIC_DIGESTS
+        STATIC_PHASES
     )

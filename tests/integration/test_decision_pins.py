@@ -11,16 +11,20 @@ charge (see DESIGN.md, "Modeled cost vs implementation speed").
 """
 
 import hashlib
+import heapq
 import json
 import random
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
 
 from repro.dag.workloads import cholesky_dag
 from repro.experiments.harness import effective_threshold, figure_spec, rep_seed
+from repro.partitioning import fm
 from repro.partitioning.interface import partition_tasks
 from repro.platform.spec import tesla_v100_node
+from repro.schedulers import hfp
 from repro.schedulers.darts import Darts
 from repro.schedulers.hfp import balance_packages, hfp_pack
 from repro.schedulers.registry import make_scheduler
@@ -161,6 +165,16 @@ HOOK_PINS = {
     "darts+luf": (588, 23520, 8066),
 }
 
+
+#: FM moves applied by ``partition_tasks`` on fig8 n=30 K=4, rng=Random(0)
+#: (a ``PARTITION_PINS`` case).  Every pass ran to the end and read
+#: 38 431 moves; a pass now stops once no later prefix can win.
+FM_MOVES_PIN = 24373
+
+#: (entries popped from the sorted run, from the heap) by ``hfp_pack`` on
+#: fig3 n=20 K=1 (a ``PACK_PINS`` case).  One heap held every entry and
+#: popped 12 037 of them, the sum of the two.
+HFP_POPS_PIN = (7601, 4436)
 
 def _digest(task_lists) -> str:
     return hashlib.sha256(json.dumps(task_lists).encode()).hexdigest()
@@ -352,4 +366,62 @@ class TestStaticPhasePins:
         packages = balance_packages(hfp_pack(graph, memory, k), graph)
         assert _digest(packages) == PACK_PINS[(figure, n, k)], (
             f"{figure} n={n} K={k}: the packages changed"
+        )
+
+    def test_fm_moves_exact(self, monkeypatch):
+        """A return to running every FM pass to the end fails here.
+
+        Each move pops its vertex's live entry ``(-gain, v, version)``:
+        the first pop in a pass of an unmoved vertex's latest version.
+        Every other pop drops a stale entry."""
+        moves = [0]
+        latest, moved = {}, set()
+        fm_pass = fm._fm_pass
+
+        def counting_pass(*args):
+            latest.clear()
+            moved.clear()
+            return fm_pass(*args)
+
+        def heappop(heap):
+            entry = heapq.heappop(heap)
+            _, v, version = entry
+            if v not in moved and latest.get(v, 0) == version:
+                moved.add(v)
+                moves[0] += 1
+            return entry
+
+        def heappush(heap, entry):
+            latest[entry[1]] = entry[2]
+            heapq.heappush(heap, entry)
+
+        monkeypatch.setattr(fm, "_fm_pass", counting_pass)
+        monkeypatch.setattr(
+            fm,
+            "heapq",
+            SimpleNamespace(
+                heapify=heapq.heapify, heappop=heappop, heappush=heappush
+            ),
+        )
+        graph = figure_spec("fig8").workload(30)
+        partition_tasks(graph, 4, rng=random.Random(0))
+        assert moves[0] == FM_MOVES_PIN, f"FM moves changed: {moves[0]}"
+
+    def test_hfp_pops_exact(self, monkeypatch):
+        """A return to one heap for every entry fails here."""
+        pops = {"run": 0, "heap": 0}
+        pop_least = hfp._pop_least
+
+        def counting_pop(run, heap):
+            before = len(run)
+            entry = pop_least(run, heap)
+            pops["run" if len(run) < before else "heap"] += 1
+            return entry
+
+        monkeypatch.setattr(hfp, "_pop_least", counting_pop)
+        spec = figure_spec("fig3")
+        memory = min(g.memory_bytes for g in spec.platform().gpus)
+        hfp_pack(spec.workload(20), memory, 1)
+        assert (pops["run"], pops["heap"]) == HFP_POPS_PIN, (
+            f"HFP pops changed: {pops}"
         )

@@ -21,6 +21,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Hypergraph(2, [1.0, 1.0], [(0, 1)], [])
 
+    @pytest.mark.parametrize("weight", [-1.0, float("nan")])
+    def test_negative_net_weight_rejected(self, weight):
+        with pytest.raises(ValueError, match="non-negative"):
+            Hypergraph(2, [1.0, 1.0], [(0, 1)], [weight])
+
     def test_unknown_pin_rejected(self):
         with pytest.raises(ValueError, match="unknown vertex"):
             Hypergraph(2, [1.0, 1.0], [(0, 5)], [1.0])

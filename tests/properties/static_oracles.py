@@ -10,7 +10,10 @@ defers each inadmissible vertex and re-pushes it after every move, and
 HFP pushes every pair twice, re-keys every neighbour of a merged
 package through a per-package version and tests the memory bound at
 pop time (the version list, once a ``_Packages`` field, is kept here).
-The old bisection runs every restart to the finest level.
+The old bisection runs every restart to the finest level.  The old FM
+pass also runs every pass to its end and computes each gain with
+``_gain`` over ``_net_counts``, both kept here verbatim (shipped FM
+builds the gains in one sweep over the nets).
 ``test_static_phase_equivalence`` asserts the shipped loops produce the
 same output.  Nothing under ``src`` imports this module.
 """
@@ -19,12 +22,38 @@ from __future__ import annotations
 
 import heapq
 import random
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.partitioning import bisection
-from repro.partitioning.fm import _gain, _net_counts, bisection_cut, fm_refine
+from repro.partitioning.fm import bisection_cut, fm_refine
 from repro.partitioning.hypergraph import Hypergraph
 from repro.schedulers.hfp import _Packages
+
+
+def _net_counts(h: Hypergraph, side: Sequence[int]) -> Tuple[List[int], List[int]]:
+    c0 = [0] * h.n_nets
+    c1 = [0] * h.n_nets
+    for e, pins in enumerate(h.nets):
+        for v in pins:
+            if side[v] == 0:
+                c0[e] += 1
+            else:
+                c1[e] += 1
+    return c0, c1
+
+
+def _gain(h: Hypergraph, side: Sequence[int], c0, c1, v: int) -> float:
+    """Cut reduction if ``v`` moves to the other side."""
+    g = 0.0
+    s = side[v]
+    for e in h.pins_of[v]:
+        here = c0[e] if s == 0 else c1[e]
+        there = c1[e] if s == 0 else c0[e]
+        if here == 1:
+            g += h.nwgt[e]  # net becomes uncut
+        if there == 0:
+            g -= h.nwgt[e]  # net becomes cut
+    return g
 
 
 def multilevel_bisect_oracle(

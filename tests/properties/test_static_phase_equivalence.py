@@ -1,16 +1,20 @@
 """Differential tests: the static phases' selection loops against oracles.
 
-FM keeps one candidate heap per (side, vertex weight) class, HFP leaves
-pairs over the memory bound out of its heap and re-keys a pair only
-when its shared weight grows, and bisection stops a restart that
-repeats an earlier one.  Each is claimed to choose exactly what the
+FM keeps one candidate heap per (side, vertex weight) class, builds its
+gains in one sweep over the nets and ends a pass once no later prefix
+can win; HFP leaves pairs over the memory bound out of its entries,
+re-keys a pair only when its shared weight grows and pops its bulk-built
+entries from one sorted run beside a heap; bisection stops a restart
+that repeats an earlier one.  Each is claimed to choose exactly what the
 loop it replaced chose; those loops are frozen in
 ``tests/properties/static_oracles.py``.  Hypothesis drives them on the
 cases where the claim is most fragile:
 
 * FM: heterogeneous vertex weights, some tiny next to the total (so that
   ``w0 + delta`` rounds back to ``w0``), random and often infeasible
-  starting sides, tolerances down to zero;
+  starting sides, tolerances down to zero; whole-number net weights
+  (exact sums) beside fractional and mixed-magnitude ones (rounded
+  sums, which the early stop must allow for), and single-pin nets;
 * HFP: heterogeneous and zero-size data (``w == 0`` pairs, whose pop
   ends a round) under memory bounds tight enough to reach phase 2 and
   the fold of disconnected leftovers;
@@ -47,14 +51,23 @@ from tests.properties.static_oracles import (
 #: vertex weights mixing unit-scale, huge and vanishing values
 WEIGHTS = (1.0, 2.0, 3.0, 0.5, 7.0, 1e6, 1e-9, 1e-13, 1e-17)
 
+#: net weights: whole numbers, whose sums are exact (every
+#: ``TaskGraph``-built hypergraph), beside fractions and magnitudes
+#: whose sums round
+NET_WEIGHTS = (1.0, 2.0, 5.0, 0.1, 0.5, 1e-3, 1e6)
 
-def _random_hypergraph(rng, n, pool, n_nets):
+
+def _random_hypergraph(rng, n, pool, n_nets, net_pool=None, min_pins=2):
+    """Nets weigh 1 to 5, or are drawn from ``net_pool`` when given."""
     vwgt = [rng.choice(pool) for _ in range(n)]
     nets = [
-        tuple(rng.sample(range(n), rng.randint(2, min(5, n))))
+        tuple(rng.sample(range(n), rng.randint(min_pins, min(5, n))))
         for _ in range(n_nets)
     ]
-    nwgt = [float(rng.randint(1, 5)) for _ in nets]
+    if net_pool is None:
+        nwgt = [float(rng.randint(1, 5)) for _ in nets]
+    else:
+        nwgt = [rng.choice(net_pool) for _ in nets]
     return Hypergraph(n, vwgt, nets, nwgt)
 
 
@@ -63,7 +76,12 @@ def fm_case(draw):
     n = draw(st.integers(2, 24))
     rng = random.Random(draw(st.integers(0, 2**16)))
     pool = draw(st.lists(st.sampled_from(WEIGHTS), min_size=1, max_size=4))
-    h = _random_hypergraph(rng, n, pool, draw(st.integers(1, 30)))
+    net_pool = draw(
+        st.lists(st.sampled_from(NET_WEIGHTS), min_size=1, max_size=3)
+    )
+    h = _random_hypergraph(
+        rng, n, pool, draw(st.integers(1, 30)), net_pool, min_pins=1
+    )
     side = [rng.randint(0, 1) for _ in range(n)]
     total = sum(h.vwgt)
     target0 = draw(st.sampled_from([0.0, 0.25, 0.5, 0.6, 1.0])) * total
@@ -95,6 +113,27 @@ def _run_passes(fm_pass, h, side, target0, tolerance):
         [0, 0, 0, 1],
         0.0,
         0.0,
+    )
+)
+# the cut reaches zero after the first move; later moves cut and uncut
+# the 1e6 net, and the rounding of 0.001 - 1e6 + 1e6 makes such a
+# prefix beat the zero cut in floats, so the early stop must allow slack
+@example(
+    (
+        Hypergraph(6, [1.0] * 6, [(3, 2), (4, 1)], [1e-3, 1e6]),
+        [0, 1, 1, 0, 1, 0],
+        3.0,
+        1.0,
+    )
+)
+# a single-pin net adds +w then -w to its pin's gain: -0.001 + 1 - 1
+# rounds away from -0.001, which puts vertex 0 behind vertex 1
+@example(
+    (
+        Hypergraph(2, [1.0, 1.0], [(0, 1), (1,), (0,)], [1e-3, 1e-3, 1.0]),
+        [0, 0],
+        1.0,
+        0.5,
     )
 )
 def test_fm_pass_matches_single_heap_oracle(case):
@@ -267,14 +306,20 @@ def test_lazy_rekeying_takes_both_stale_branches(monkeypatch):
     """One fixed case pops an entry that only a task count outdated (it
     goes back with the current key unless the pair outgrew the bound)
     and one whose shared weight grew since (a fresher entry was pushed,
-    or the pair no longer fits, so it is dropped)."""
+    or the pair no longer fits, so it is dropped).  Pops go through
+    ``_pop_least``, the one seam of both entry sources, and the log
+    must see each source."""
     graph = random_bipartite(n_tasks=40, n_data=12, arity=3, seed=1)
     bound = 5.0
     pk = _Packages(graph)
     log = []
+    sources = set()
+    pop_least = hfp._pop_least
 
-    def heappop(heap):
-        entry = heapq.heappop(heap)
+    def logging_pop(run, heap):
+        before = len(run)
+        entry = pop_least(run, heap)
+        sources.add("run" if len(run) < before else "heap")
         neg_w, count, a, b = entry
         kind, key = "dead", None
         if pk.tasks[a] is not None and pk.tasks[b] is not None:
@@ -294,16 +339,16 @@ def test_lazy_rekeying_takes_both_stale_branches(monkeypatch):
         log.append(("push", entry))
         heapq.heappush(heap, entry)
 
+    monkeypatch.setattr(hfp, "_pop_least", logging_pop)
     monkeypatch.setattr(
         hfp,
         "heapq",
-        SimpleNamespace(
-            heapify=heapq.heapify, heappop=heappop, heappush=heappush
-        ),
+        SimpleNamespace(heappop=heapq.heappop, heappush=heappush),
     )
     _merge_round(pk, bound, stop_at=1)
     monkeypatch.undo()
 
+    assert sources == {"run", "heap"}
     repushed = dropped = 0
     for op, nxt in zip(log, log[1:]):
         if op[:2] == ("pop", "lower"):
