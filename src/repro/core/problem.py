@@ -186,19 +186,6 @@ class TaskGraph:
         """Number of tasks sharing ``data_id``."""
         return len(self._users[data_id])
 
-    def shared_inputs(self, a: int, b: int) -> Tuple[int, ...]:
-        """Data ids read by both tasks ``a`` and ``b``."""
-        sb = set(self.tasks[b].inputs)
-        return tuple(d for d in self.tasks[a].inputs if d in sb)
-
-    def shared_weight(self, a: int, b: int) -> float:
-        """Total bytes of input data shared by tasks ``a`` and ``b``."""
-        return sum(self.data[d].size for d in self.shared_inputs(a, b))
-
-    def task_input_bytes(self, task_id: int) -> float:
-        """Total bytes of ``D(T_i)`` (the task's memory footprint)."""
-        return sum(self.data[d].size for d in self.tasks[task_id].inputs)
-
     def footprint_bytes(self, task_ids: Iterable[int]) -> float:
         """Bytes of the union of inputs of ``task_ids`` (package footprint)."""
         seen: set = set()
@@ -242,11 +229,6 @@ class TaskGraph:
     def outputs_of(self, task_id: int) -> Tuple[int, ...]:
         return self.tasks[task_id].outputs
 
-    def task_footprint_bytes(self, task_id: int) -> float:
-        """Bytes of inputs plus outputs (the task's memory requirement)."""
-        t = self.tasks[task_id]
-        return sum(self.data[d].size for d in t.inputs + t.outputs)
-
     def __iter__(self) -> Iterator[Task]:
         return iter(self.tasks)
 
@@ -276,15 +258,6 @@ class TaskGraph:
     # ------------------------------------------------------------------
     # derived structures
     # ------------------------------------------------------------------
-    def as_hyperedges(self) -> List[Tuple[int, ...]]:
-        """Hyperedge list for hypergraph partitioning (paper §IV-B).
-
-        One hyperedge per datum, containing the ids of all tasks reading
-        it.  Data read by fewer than two tasks still yield (trivial)
-        hyperedges; partitioners may ignore singletons.
-        """
-        return [tuple(u) for u in self._users]
-
     def clique_expansion(self) -> Dict[Tuple[int, int], float]:
         """METIS-style graph model of data sharing (paper §IV-B).
 

@@ -23,7 +23,6 @@ import random
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
-    Dict,
     List,
     Optional,
     Sequence,
@@ -75,10 +74,6 @@ class Schedule:
         for o in self.order:
             out.extend(o)
         return out
-
-    def gpu_of(self) -> Dict[int, int]:
-        """Map task id -> GPU index."""
-        return {t: k for k, o in enumerate(self.order) for t in o}
 
     def validate(self, graph: TaskGraph) -> None:
         """Every task of ``graph`` appears exactly once across all GPUs."""
@@ -157,9 +152,6 @@ class ReplayResult:
     @property
     def total_bytes(self) -> float:
         return sum(g.bytes_loaded for g in self.gpus)
-
-    def loads_on(self, k: int) -> int:
-        return self.gpus[k].n_loads
 
     @property
     def max_live(self) -> int:

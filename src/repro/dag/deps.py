@@ -90,16 +90,3 @@ class DependencySet:
             longest[t] = base + graph.tasks[t].flops
         return max(longest.values(), default=0.0)
 
-    def transitive_closure_size(self) -> int:
-        """Number of (ancestor, descendant) pairs; diagnostics only."""
-        total = 0
-        for t in range(self.n_tasks):
-            seen: Set[int] = set()
-            stack = list(self.succs[t])
-            while stack:
-                s = stack.pop()
-                if s not in seen:
-                    seen.add(s)
-                    stack.extend(self.succs[s])
-            total += len(seen)
-        return total

@@ -11,7 +11,7 @@ Two scales are provided:
 
 The paper's absolute sizes (up to 300×300 = 90 000 tasks) are not swept
 yet: single cells run there, but the full paper-scale sweeps are open
-work (ROADMAP item 2), so "paper" tops out earlier; the crossover
+work (ROADMAP item 5), so "paper" tops out earlier; the crossover
 structure is unaffected (see EXPERIMENTS.md, deviation 2).
 
 Each figure also carries the paper's qualitative claims about it — who

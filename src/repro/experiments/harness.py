@@ -29,16 +29,16 @@ static phase's host time) is a *host measurement* and jitters between
 any two runs; serving cells from a shared cache freezes them too,
 making warm reruns byte-identical end to end.
 
-Fault tolerance (pool only): the pool survives killed workers
-(``BrokenProcessPool`` — e.g. the OOM killer taking out one child
-mid-sweep) and wedged cells (a per-cell wall-clock timeout).  Affected
-cells are retried with a capped exponential backoff; a cell that keeps
-failing after ``max_attempts`` rounds is *excluded* — reported in the
-merge footer and skipped by the assembly, which averages the
-repetitions that did complete and drops the point entirely when none
-did.  In-process, a cell that raises raises.  Only cleanly completed
-cells are ever written to the cache, so a crash can never poison
-future warm runs.
+Failure rule, the same on both paths: a cell is a pure function of its
+spec, so a retry would fail the same way.  The first failure stops the
+sweep and propagates unchanged — a cell's own exception (the pool
+re-raises it with the same type and message, the worker's traceback as
+``__cause__``), a killed worker (``BrokenProcessPool``) or an
+interrupt.  The pool's workers are terminated first.  Every cell that
+completed before the failure is already in the cache, so a rerun
+computes only the rest.  A simulation's own bounds
+(``SimulationDeadlock``, the engine's event guard) are the only limits
+on a cell; there is no wall-clock timeout.
 """
 
 from __future__ import annotations
@@ -46,13 +46,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import time
+from contextlib import closing
 from dataclasses import dataclass, replace
 from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
-    Iterable,
+    Generator,
     List,
     NamedTuple,
     Optional,
@@ -107,14 +107,6 @@ class Cell(NamedTuple):
     n: int
     scheduler: str
     rep: int
-
-
-class ExcludedCell(NamedTuple):
-    """A cell dropped from the merge after exhausting its retry budget."""
-
-    cell: Cell
-    attempts: int
-    error: str
 
 
 def rep_seed(base: int, scheduler: str, n: int, rep: int) -> int:
@@ -231,11 +223,11 @@ _FORK_CELLS: List[Cell] = []
 _FORK_GRAPHS: Dict[int, TaskGraph] = {}
 
 
-def _run_indexed_cell(i: int) -> Tuple[int, Measurement]:
+def _run_indexed_cell(i: int) -> Measurement:
     """Worker entry point: compute cell ``i`` of the parked work list."""
     assert _FORK_SPEC is not None, "worker forked without a parked spec"
     cell = _FORK_CELLS[i]
-    return i, run_cell(
+    return run_cell(
         _FORK_SPEC,
         cell.n,
         cell.scheduler,
@@ -245,7 +237,7 @@ def _run_indexed_cell(i: int) -> Tuple[int, Measurement]:
 
 
 def _teardown_pool(pool: "ProcessPoolExecutor") -> None:
-    """Abandon a wedged/broken pool without waiting on its workers."""
+    """Abandon a failed pool without waiting on its workers."""
     # shutdown() drops the pool's process dict, so take the workers first
     procs = list((getattr(pool, "_processes", None) or {}).values())
     pool.shutdown(wait=False, cancel_futures=True)
@@ -261,94 +253,33 @@ def _compute_pool(
     cells: List[Cell],
     graphs: Dict[int, TaskGraph],
     jobs: int,
-    cell_timeout: float,
-    max_attempts: int,
-    retry_backoff: float,
-) -> Tuple[Dict[Cell, Measurement], List[ExcludedCell]]:
-    """Run ``cells`` across a process pool, surviving crashes and hangs.
+) -> Generator[Tuple[Cell, Measurement], None, None]:
+    """Run ``cells`` on a ``jobs``-worker pool, yielding each as it finishes.
 
-    Each round submits every still-pending cell to a fresh pool.  A cell
-    whose future raises (worker exception), whose pool breaks under it
-    (killed worker), or that exceeds ``cell_timeout`` of wall clock is
-    charged one failed attempt and retried next round after a capped
-    exponential backoff; cells untouched by the abort keep their attempt
-    budget.  After ``max_attempts`` failures a cell is excluded and
-    reported instead of aborting the sweep.
+    The first failure (a cell's exception, ``BrokenProcessPool`` or an
+    interrupt) terminates the workers and propagates unchanged.
     """
     # Imported here: the pool's modules add about 3 MB of resident
     # memory that in-process sweeps and single cells never use.
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures import TimeoutError as FutureTimeout
-    from concurrent.futures.process import BrokenProcessPool
+    from concurrent.futures import ProcessPoolExecutor, as_completed
 
     global _FORK_SPEC, _FORK_CELLS, _FORK_GRAPHS
-    ctx = multiprocessing.get_context("fork")
-    results: Dict[Cell, Measurement] = {}
-    attempts = [0] * len(cells)
-    errors: Dict[int, str] = {}
-    excluded: List[ExcludedCell] = []
-    # Largest instances dominate the wall clock; dispatch them first so
-    # the tail of the schedule is short cells, not one straggler.
-    pending = sorted(range(len(cells)), key=lambda i: (-cells[i].n, i))
     _FORK_SPEC, _FORK_CELLS, _FORK_GRAPHS = spec, list(cells), graphs
+    pool = ProcessPoolExecutor(
+        max_workers=jobs, mp_context=multiprocessing.get_context("fork")
+    )
     try:
-        round_no = 0
-        while pending:
-            round_no += 1
-            if round_no > 1:
-                time.sleep(min(retry_backoff * 2 ** (round_no - 2), 5.0))
-            pool = ProcessPoolExecutor(
-                max_workers=min(jobs, len(pending)), mp_context=ctx
-            )
-            futures = [(i, pool.submit(_run_indexed_cell, i)) for i in pending]
-            done: List[int] = []
-            failed: List[int] = []
-            aborted = False
-            try:
-                for i, fut in futures:
-                    if aborted:
-                        break
-                    try:
-                        idx, m = fut.result(timeout=cell_timeout)
-                        results[cells[idx]] = m
-                        done.append(idx)
-                    except FutureTimeout:
-                        errors[i] = (
-                            f"no result within {cell_timeout:.0f}s wall clock"
-                        )
-                        failed.append(i)
-                        aborted = True  # pool is wedged; rebuild it
-                    except BrokenProcessPool:
-                        errors[i] = "worker process died (pool broken)"
-                        failed.append(i)
-                        aborted = True  # pool is unusable; rebuild it
-                    except Exception as exc:
-                        errors[i] = f"{type(exc).__name__}: {exc}"
-                        failed.append(i)
-            finally:
-                if aborted:
-                    _teardown_pool(pool)
-                else:
-                    pool.shutdown(wait=True)
-            survivors: List[int] = []
-            for i in failed:
-                attempts[i] += 1
-                if attempts[i] >= max_attempts:
-                    excluded.append(
-                        ExcludedCell(cells[i], attempts[i], errors[i])
-                    )
-                else:
-                    survivors.append(i)
-            finished = set(done)
-            blamed = set(failed)
-            # Cells neither finished nor blamed were innocent bystanders
-            # of an aborted round: they retry without losing budget.
-            pending = survivors + [
-                i for i in pending if i not in finished and i not in blamed
-            ]
-            pending.sort(key=lambda i: (-cells[i].n, i))
-        return results, excluded
+        # Largest instances dominate the wall clock; dispatch them first
+        # so the tail of the schedule is short cells, not one straggler.
+        order = sorted(range(len(cells)), key=lambda i: (-cells[i].n, i))
+        futures = {pool.submit(_run_indexed_cell, i): cells[i] for i in order}
+        for fut in as_completed(futures):
+            yield futures[fut], fut.result()
+        pool.shutdown(wait=True)
+    except BaseException:
+        _teardown_pool(pool)
+        raise
     finally:
         _FORK_SPEC, _FORK_CELLS, _FORK_GRAPHS = None, [], {}
 
@@ -358,20 +289,14 @@ def run_sweep(
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
     verbose: bool = False,
-    cell_timeout: float = 600.0,
-    max_attempts: int = 3,
-    retry_backoff: float = 0.5,
 ) -> Sweep:
     """Execute the sweep and collect all series.
 
     Builds each instance once and looks every cell up in ``cache``
     first.  The misses run in-process when ``jobs`` is 1 (or fork is
-    unavailable), where a cell that raises aborts the sweep, and on a
-    ``jobs``-worker pool otherwise, where cells that crash or hang are
-    retried up to ``max_attempts`` times (capped exponential backoff
-    from ``retry_backoff`` seconds, per-cell wall-clock budget
-    ``cell_timeout``) and then excluded and reported in a footer.  Only
-    cleanly completed cells are written to ``cache``.
+    unavailable) and on a ``jobs``-worker pool otherwise.  Either way
+    each completed cell is written to ``cache`` as it finishes, and the
+    first cell that fails stops the sweep with its own exception.
 
     Averaging across repetitions, series insertion order, the
     no-sched-time variants, and the reference lines/curves do not depend
@@ -393,42 +318,22 @@ def run_sweep(
                 results[cell] = hit
     missing = [cell for cell in cells if cell not in results]
 
-    excluded: List[ExcludedCell] = []
-    pairs: Iterable[Tuple[Cell, Measurement]]
+    pairs: Generator[Tuple[Cell, Measurement], None, None]
     if jobs > 1 and len(missing) > 1 and fork_available():
-        computed, excluded = _compute_pool(
-            spec,
-            missing,
-            graphs,
-            min(jobs, len(missing)),
-            cell_timeout=cell_timeout,
-            max_attempts=max_attempts,
-            retry_backoff=retry_backoff,
-        )
-        pairs = computed.items()
+        pairs = _compute_pool(spec, missing, graphs, min(jobs, len(missing)))
     else:
         pairs = (
             (c, run_cell(spec, c.n, c.scheduler, c.rep, graph=graphs[c.n]))
             for c in missing
         )
-    # Each cell is stored as it completes, so an in-process failure
-    # keeps the cells before it; excluded cells never get here, so
-    # nothing a crash touched can poison a warm rerun.
-    for cell, m in pairs:
-        results[cell] = m
-        if cache is not None:
-            cache.put(keys[cell], m)
-
-    sweep = _assemble(spec, graphs, results, verbose)
-    if excluded:
-        print(
-            f"  [merge: {len(excluded)} cell(s) excluded after "
-            f"{max_attempts} attempt(s) each]"
-        )
-        for exc_cell in sorted(excluded, key=lambda e: e.cell):
-            c = exc_cell.cell
-            print(f"    n={c.n} {c.scheduler} rep={c.rep}: {exc_cell.error}")
-    return sweep
+    # Each cell is stored as it completes, so a failure keeps every cell
+    # finished before it; closing stops the pool if storing one fails.
+    with closing(pairs):
+        for cell, m in pairs:
+            results[cell] = m
+            if cache is not None:
+                cache.put(keys[cell], m)
+    return _assemble(spec, graphs, results, verbose)
 
 
 def _assemble(
@@ -459,12 +364,7 @@ def _assemble(
         )
         for name in spec.schedulers:
             reps = [Cell(n, name, rep) for rep in range(max(1, spec.repetitions))]
-            measurements = [results[c] for c in reps if c in results]
-            if not measurements:
-                # every repetition of this cell was excluded; skip the
-                # point rather than abort — partial merges stay usable.
-                continue
-            m = _average(measurements)
+            m = _average([results[c] for c in reps])
             sweep.add(m)
             if verbose:
                 print(

@@ -20,7 +20,7 @@ def match_heavy_edge(h: Hypergraph, rng: random.Random) -> List[int]:
     order = list(range(h.n))
     rng.shuffle(order)
     match = [-1] * h.n
-    nets, nwgt = h.nets, h.nwgt
+    nets, shares = h.nets, h.share
     for v in order:
         if match[v] != -1:
             continue
@@ -28,9 +28,8 @@ def match_heavy_edge(h: Hypergraph, rng: random.Random) -> List[int]:
         # neighbours: each score is the same float sum, in the same order
         scores: Dict[int, float] = {}
         for e in h.pins_of[v]:
-            pins = nets[e]
-            share = nwgt[e] / (len(pins) - 1)
-            for u in pins:
+            share = shares[e]
+            for u in nets[e]:
                 if match[u] == -1 and u != v:
                     scores[u] = scores.get(u, 0.0) + share
         best_u, best_s = -1, -1.0

@@ -35,6 +35,13 @@ class Hypergraph:
         self.vwgt = list(vertex_weights)
         self.nets: List[Tuple[int, ...]] = [tuple(p) for p in nets]
         self.nwgt = list(net_weights)
+        # heavy-edge share of each net, w(net)/(|net|-1) (standard hMETIS
+        # scaling so huge nets do not dominate matching); a single-pin
+        # net joins no pair of vertices
+        self.share = [
+            w / (len(p) - 1) if len(p) > 1 else 0.0
+            for p, w in zip(self.nets, self.nwgt)
+        ]
         # vertex -> incident net ids
         self.pins_of: List[List[int]] = [[] for _ in range(n_vertices)]
         for e, pins in enumerate(self.nets):
@@ -80,13 +87,11 @@ class Hypergraph:
 
     def neighbor_weights(self, v: int, exclude: int = -1) -> Dict[int, float]:
         """Heavy-edge scores: for each neighbour ``u`` of ``v``, the summed
-        ``w(net)/(|net|-1)`` over shared nets (standard hMETIS scaling so
-        huge nets do not dominate matching)."""
+        :attr:`share` of their shared nets."""
         scores: Dict[int, float] = {}
         for e in self.pins_of[v]:
-            pins = self.nets[e]
-            share = self.nwgt[e] / (len(pins) - 1)
-            for u in pins:
+            share = self.share[e]
+            for u in self.nets[e]:
                 if u != v and u != exclude:
                     scores[u] = scores.get(u, 0.0) + share
         return scores

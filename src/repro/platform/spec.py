@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.platform.calibration import (
@@ -75,21 +75,6 @@ class PlatformSpec:
     @property
     def n_gpus(self) -> int:
         return len(self.gpus)
-
-    @property
-    def total_gflops(self) -> float:
-        return sum(g.gflops for g in self.gpus)
-
-    @property
-    def min_memory_bytes(self) -> float:
-        return min(g.memory_bytes for g in self.gpus)
-
-    def with_memory(self, memory_bytes: float) -> "PlatformSpec":
-        """Same platform with every GPU's memory bound replaced."""
-        return PlatformSpec(
-            gpus=[replace(g, memory_bytes=memory_bytes) for g in self.gpus],
-            bus=self.bus,
-        )
 
     def homogeneous(self) -> bool:
         first = self.gpus[0]

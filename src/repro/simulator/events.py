@@ -292,21 +292,6 @@ class EventStream:
         for et in event_types or RUNTIME_EVENT_TYPES:
             self._subscribers.setdefault(et, []).append(handler)
 
-    def unsubscribe(
-        self,
-        handler: Callable[[RuntimeEvent], None],
-        *event_types: Type[RuntimeEvent],
-    ) -> None:
-        """Remove every registration of ``handler`` for the given types
-        (all types when none given).  Unknown registrations are ignored."""
-        for et in event_types or RUNTIME_EVENT_TYPES:
-            subs = self._subscribers.get(et)
-            if not subs:
-                continue
-            self._subscribers[et] = [h for h in subs if h is not handler]
-            if not self._subscribers[et]:
-                del self._subscribers[et]
-
     def wants(self, event_type: Type[RuntimeEvent]) -> bool:
         """True when at least one subscriber registered for the type.
 
@@ -331,9 +316,6 @@ class EventStream:
             except Exception as exc:
                 _annotate_dispatch_error(exc, handler, event)
                 raise
-
-    def subscriber_count(self, event_type: Type[RuntimeEvent]) -> int:
-        return len(self._subscribers.get(event_type, ()))
 
 
 def _annotate_dispatch_error(

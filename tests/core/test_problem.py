@@ -97,25 +97,6 @@ class TestQueries:
     def test_degree(self, figure1_graph):
         assert all(figure1_graph.degree(d) == 3 for d in range(6))
 
-    def test_shared_inputs_same_row(self, figure1_graph):
-        # T1 and T2 share the row datum D1 (id 0)
-        assert figure1_graph.shared_inputs(0, 1) == (0,)
-
-    def test_shared_inputs_disjoint(self, figure1_graph):
-        # T1 (row 0, col 0) and T5 (row 1, col 1) share nothing
-        assert figure1_graph.shared_inputs(0, 4) == ()
-
-    def test_shared_weight_uses_sizes(self):
-        g = TaskGraph()
-        big = g.add_data(10.0)
-        small = g.add_data(1.0)
-        g.add_task([big, small], flops=1.0)
-        g.add_task([big, small], flops=1.0)
-        assert g.shared_weight(0, 1) == 11.0
-
-    def test_task_input_bytes(self, figure1_graph):
-        assert figure1_graph.task_input_bytes(0) == 2.0
-
     def test_footprint_union(self, figure1_graph):
         # T1, T2 together touch D1, D4, D5 = 3 data
         assert figure1_graph.footprint_bytes([0, 1]) == 3.0
@@ -147,12 +128,6 @@ class TestQueries:
 
 
 class TestDerivedStructures:
-    def test_hyperedges_one_per_datum(self, figure1_graph):
-        hedges = figure1_graph.as_hyperedges()
-        assert len(hedges) == 6
-        assert hedges[0] == (0, 1, 2)  # D1's users
-        assert hedges[3] == (0, 3, 6)  # D4's users (column 0)
-
     def test_clique_expansion_pairwise_weights(self, chain_graph):
         edges = chain_graph.clique_expansion()
         # consecutive chain tasks share exactly one unit datum

@@ -28,10 +28,6 @@ class TestScheduleObject:
         s = Schedule(order=[[1], [0, 2]])
         assert s.all_tasks == [1, 0, 2]
 
-    def test_gpu_of(self):
-        s = Schedule(order=[[1], [0, 2]])
-        assert s.gpu_of() == {1: 0, 0: 1, 2: 1}
-
     def test_validate_complete_ok(self, figure1_graph):
         s = Schedule(order=[[0, 1, 4, 3], [2, 5, 8, 7, 6]])
         s.validate(figure1_graph)
@@ -146,7 +142,6 @@ class TestReplayMechanics:
         s = Schedule(order=[[0, 1, 2], [3, 4, 5], [6, 7, 8]])
         res = replay_schedule(figure1_graph, s, capacity_items=4)
         assert [g.n_loads for g in res.gpus] == [4, 4, 4]
-        assert res.loads_on(1) == 4
         assert res.total_loads == 12
 
     def test_policy_class_accepted(self, figure1_graph):

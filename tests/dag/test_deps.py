@@ -69,9 +69,6 @@ class TestDependencySet:
             g.add_task([datum], flops=2.0)
         assert DependencySet(4).critical_path_flops(g) == pytest.approx(2.0)
 
-    def test_transitive_closure_size(self):
-        assert chain_deps(4).transitive_closure_size() == 3 + 2 + 1
-
 
 class TestCholeskyDag:
     def test_same_task_set_as_independent_version(self):

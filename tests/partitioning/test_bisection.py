@@ -93,6 +93,28 @@ class TestBisect:
         assert cut == pytest.approx(bisection_cut(h, side))
 
 
+class TestSinglePinNet:
+    """A net with one pin is legal and can never be cut."""
+
+    def single_pin_hypergraph(self):
+        return Hypergraph(4, [1.0] * 4, [(0, 1), (2,), (2, 3)], [1.0] * 3)
+
+    def test_share_is_zero(self):
+        assert self.single_pin_hypergraph().share == [1.0, 0.0, 1.0]
+
+    def test_bisect_and_kway_partition(self):
+        h = self.single_pin_hypergraph()
+        for seed in range(4):
+            match = match_heavy_edge(h, random.Random(seed))
+            assert match[2] in (2, 3)
+            side, cut = multilevel_bisect(
+                h, nruns=4, rng=random.Random(seed), coarse_size=2
+            )
+            assert cut == bisection_cut(h, side) == 0.0
+        assert sorted(partition_kway(h, 2, rng=random.Random(0))) == [0, 0, 1, 1]
+        assert len(set(partition_kway(h, 3, rng=random.Random(0)))) == 3
+
+
 class TestKway:
     def test_partition_covers_all_vertices(self):
         h = clustered_hypergraph(groups=4, size=6)

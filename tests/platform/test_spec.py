@@ -47,12 +47,6 @@ class TestPlatformSpec:
     def test_aggregates(self):
         p = PlatformSpec(gpus=[GpuSpec(), GpuSpec()])
         assert p.n_gpus == 2
-        assert p.total_gflops == 2 * 13_253.0
-        assert p.min_memory_bytes == 500e6
-
-    def test_with_memory_replaces_all(self):
-        p = PlatformSpec(gpus=[GpuSpec(), GpuSpec()]).with_memory(1e9)
-        assert all(g.memory_bytes == 1e9 for g in p.gpus)
 
     def test_homogeneous_detection(self):
         assert PlatformSpec(gpus=[GpuSpec(), GpuSpec()]).homogeneous()
@@ -68,7 +62,7 @@ class TestPreset:
 
     def test_memory_override(self):
         p = tesla_v100_node(2, memory_bytes=250e6)
-        assert p.min_memory_bytes == 250e6
+        assert all(g.memory_bytes == 250e6 for g in p.gpus)
 
     def test_unlimited_memory_is_32gb(self):
         p = tesla_v100_node(1, unlimited_memory=True)

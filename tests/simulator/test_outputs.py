@@ -31,10 +31,6 @@ class TestGraphModel:
         assert g.has_outputs
         g.validate()
 
-    def test_task_footprint_includes_outputs(self):
-        g, _ = producer_consumer(1, size=2.0)
-        assert g.task_footprint_bytes(0) == 4.0
-
     def test_double_producer_rejected(self):
         g = TaskGraph()
         a, b = g.add_data(1.0), g.add_data(1.0)
