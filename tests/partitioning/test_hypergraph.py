@@ -26,6 +26,17 @@ class TestConstruction:
         with pytest.raises(ValueError, match="non-negative"):
             Hypergraph(2, [1.0, 1.0], [(0, 1)], [weight])
 
+    def test_share_is_weight_over_other_pins(self):
+        h = Hypergraph(
+            4, [1.0] * 4, [(0, 1, 2, 3), (0, 1, 2), (1,), (2, 3)], [3.0, 4.0, 5.0, 0.5]
+        )
+        assert h.share == [1.0, 2.0, 0.0, 0.5]
+
+    def test_single_pin_net_adds_no_neighbour(self):
+        h = Hypergraph(4, [1.0] * 4, [(0, 1), (2,), (2, 3)], [1.0] * 3)
+        assert h.neighbor_weights(2) == {3: 1.0}
+        assert h.neighbor_weights(2, exclude=3) == {}
+
     def test_unknown_pin_rejected(self):
         with pytest.raises(ValueError, match="unknown vertex"):
             Hypergraph(2, [1.0, 1.0], [(0, 5)], [1.0])
