@@ -1,34 +1,10 @@
-"""Correctness tooling: determinism linter + simulation sanitizer.
+"""Sanitized smoke simulations of every scheduling strategy.
 
-``repro.check`` is the repo's static-analysis and invariant-checking
-subsystem.  It has two sides:
-
-* a **static AST linter** (:mod:`repro.check.lint`) whose rules encode
-  this repository's determinism and API contracts — no unseeded
-  randomness or wall-clock reads inside simulated code paths, no
-  order-sensitive iteration over unordered containers in scheduling
-  decisions, no ``==`` on simulated float times, and conformance of the
-  scheduler registry and eviction policies to their base APIs;
-* a **runtime trace sanitizer** (:mod:`repro.simulator.sanitizer`) that
-  validates every simulated run against the paper's §III model — memory
-  capacity, input residency, pinning, bus-bandwidth conservation, event
-  monotonicity, and same-seed reproducibility.
-
-Run both with ``python -m repro.check``; see :mod:`repro.check.cli`.
+The runtime trace sanitizer (:mod:`repro.simulator.sanitizer`) validates
+every simulated run against the paper's §III model — memory capacity,
+input residency, pinning, bus-bandwidth conservation, event
+monotonicity, and same-seed reproducibility.  ``python -m repro.check``
+runs it on small instances of every strategy; see
+:mod:`repro.check.cli`.  The determinism lint rules live with the tests
+(``tests/check/lint_rules.py``).
 """
-
-from repro.check.lint.framework import (
-    LintViolation,
-    Linter,
-    ModuleContext,
-    Rule,
-    all_rules,
-)
-
-__all__ = [
-    "LintViolation",
-    "Linter",
-    "ModuleContext",
-    "Rule",
-    "all_rules",
-]

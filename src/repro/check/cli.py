@@ -1,27 +1,21 @@
-"""``python -m repro.check`` — lint the tree, then sanitize smoke runs.
+"""``python -m repro.check`` — sanitized smoke simulations.
 
-Two stages, both gating the exit code:
+Sanitized smoke simulations of the paper's five scheduling strategies
+(EAGER, DMDA, DMDAR, mHFP, hMETIS+R — plus DARTS+LUF for the paper's
+contribution) on a small matmul instance, and of DARTS's two 3inputs
+variants on a small Cholesky task set, each run twice to verify the
+same-seed trace-digest contract (SAN007).  ``--fault-smoke`` adds the
+same strategies under a pinned fault-injection plan.
 
-1. the static determinism/API linter over ``src/`` (or the paths given);
-2. sanitized smoke simulations of the paper's five scheduling
-   strategies (EAGER, DMDA, DMDAR, mHFP, hMETIS+R — plus DARTS+LUF for
-   the paper's contribution) on a small matmul instance, and of DARTS's
-   two 3inputs variants on a small Cholesky task set, each run twice to
-   verify the same-seed trace-digest contract (SAN007).
-
-Exit status 0 means: no lint violations, no sanitizer violations, and
-bit-identical double runs for every scheduler.
+Exit status 0 means: no sanitizer violations and bit-identical double
+runs for every scheduler.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
-
-from repro.check.lint.framework import LintViolation, Linter, all_rules
-from repro.check.lint.reporters import json_report, text_report
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 #: the five strategies of the paper's evaluation plus the DARTS+LUF
 #: contribution; every one is smoke-simulated under the sanitizer
@@ -65,28 +59,6 @@ def _smoke_cases(n_gpus: int) -> Iterator[Tuple[str, Any, Any]]:
         platform = tesla_v100_node(n_gpus=n_gpus, memory_bytes=8 * block)
         for name in names:
             yield name, graph, platform
-
-
-def _default_lint_root() -> Optional[Path]:
-    """The installed ``repro`` package directory (linting its source)."""
-    import repro
-
-    pkg = Path(repro.__file__).resolve().parent
-    return pkg if pkg.is_dir() else None
-
-
-def run_lint(
-    paths: Sequence[Path], rules: Optional[Sequence[str]] = None
-) -> List[LintViolation]:
-    """Lint ``paths``; returns the violation list."""
-    selected = all_rules()
-    if rules:
-        wanted = {r.strip().upper() for r in rules}
-        unknown = wanted - {r.code for r in selected}
-        if unknown:
-            raise SystemExit(f"unknown rule code(s): {sorted(unknown)}")
-        selected = [r for r in selected if r.code in wanted]
-    return Linter(selected).lint_paths(paths)
 
 
 def run_smoke(verbose: bool = False) -> List[str]:
@@ -159,24 +131,30 @@ def run_fault_smoke(verbose: bool = False) -> List[str]:
     return problems
 
 
+def _run_stage(
+    tag: str, what: str, run: Callable[..., List[str]], verbose: bool
+) -> List[str]:
+    """Run one smoke stage, print its problems and summary line."""
+    print(f"running {what} simulations ({', '.join(ALL_SMOKE_SCHEDULERS)}) ...")
+    problems = run(verbose=verbose)
+    for p in problems:
+        print(f"{tag}: {p}", file=sys.stderr)
+    n = len(ALL_SMOKE_SCHEDULERS)
+    ok = n - len({p.split(":", 1)[0] for p in problems})
+    print(f"repro.check {tag}: {ok}/{n} schedulers clean")
+    return problems
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.check",
-        description="Determinism linter + simulation sanitizer smoke runs.",
-    )
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        type=Path,
-        help="files or directories to lint (default: the repro package)",
-    )
-    parser.add_argument(
-        "--json", action="store_true", help="emit the lint report as JSON"
+        description="Sanitized smoke simulations of every scheduling "
+        "strategy.",
     )
     parser.add_argument(
         "--no-smoke",
         action="store_true",
-        help="skip the sanitized smoke simulations (lint only)",
+        help="skip the sanitized smoke simulations",
     )
     parser.add_argument(
         "--fault-smoke",
@@ -186,72 +164,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         "straggler) with the recovery sanitizer checks enabled",
     )
     parser.add_argument(
-        "--rules",
-        default=None,
-        help="comma-separated rule codes to run (default: all)",
-    )
-    parser.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="print the rule table and exit",
-    )
-    parser.add_argument(
         "--verbose", action="store_true", help="print smoke-run progress"
     )
     args = parser.parse_args(argv)
 
-    if args.list_rules:
-        for rule in all_rules():
-            print(f"{rule.code}  {rule.name:22s} {rule.description}")
-        return 0
-
-    paths = list(args.paths)
-    missing = [p for p in paths if not p.exists()]
-    if missing:
-        for p in missing:
-            print(f"error: no such file or directory: {p}", file=sys.stderr)
-        return 2
-    if not paths:
-        root = _default_lint_root()
-        if root is None:
-            print("cannot locate the repro package to lint", file=sys.stderr)
-            return 2
-        paths = [root]
-
-    rules = args.rules.split(",") if args.rules else None
-    violations: List[LintViolation] = run_lint(paths, rules)
-    if args.json:
-        print(json_report(violations))
-    else:
-        print(text_report(violations))
-
-    smoke_problems: List[str] = []
+    problems: List[str] = []
     if not args.no_smoke:
-        if not args.json:
-            print("running sanitized smoke simulations "
-                  f"({', '.join(ALL_SMOKE_SCHEDULERS)}) ...")
-        smoke_problems = run_smoke(verbose=args.verbose)
-        for p in smoke_problems:
-            print(f"smoke: {p}", file=sys.stderr)
-        if not args.json:
-            n = len(ALL_SMOKE_SCHEDULERS)
-            ok = n - len({p.split(":", 1)[0] for p in smoke_problems})
-            print(f"repro.check smoke: {ok}/{n} schedulers clean")
-
-    fault_problems: List[str] = []
+        problems += _run_stage(
+            "smoke", "sanitized smoke", run_smoke, args.verbose
+        )
     if args.fault_smoke:
-        if not args.json:
-            print("running fault-injection smoke simulations "
-                  f"({', '.join(ALL_SMOKE_SCHEDULERS)}) ...")
-        fault_problems = run_fault_smoke(verbose=args.verbose)
-        for p in fault_problems:
-            print(f"fault-smoke: {p}", file=sys.stderr)
-        if not args.json:
-            n = len(ALL_SMOKE_SCHEDULERS)
-            ok = n - len({p.split(":", 1)[0] for p in fault_problems})
-            print(f"repro.check fault-smoke: {ok}/{n} schedulers clean")
-
-    return 1 if (violations or smoke_problems or fault_problems) else 0
+        problems += _run_stage(
+            "fault-smoke", "fault-injection smoke", run_fault_smoke,
+            args.verbose,
+        )
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

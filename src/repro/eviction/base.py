@@ -25,7 +25,7 @@ REQUIRED_API = (
 
 
 def validate_policy_class(cls: type, name: str = "") -> list:
-    """Audit one policy class against the eviction API (``API002``).
+    """Audit one policy class against the eviction API.
 
     Returns a list of problem strings (empty when conformant): the class
     must subclass :class:`EvictionPolicyProtocol`, override

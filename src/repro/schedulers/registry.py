@@ -75,9 +75,9 @@ def make_scheduler(
 def validate_registry() -> list:
     """Audit the factory table against the :class:`Scheduler` contract.
 
-    Returns a list of problem strings (empty when conformant).  Used by
-    the ``API001`` rule of ``python -m repro.check``: every registered
-    name must build a :class:`Scheduler` subclass that overrides
+    Returns a list of problem strings (empty when conformant; the test
+    suite asserts it is): every registered name must build a
+    :class:`Scheduler` subclass that overrides
     :meth:`Scheduler.next_task` and carries a display name.
     """
     problems = []
